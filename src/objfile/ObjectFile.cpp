@@ -210,7 +210,8 @@ Error ObjectFile::verify() const {
   for (const ProcDesc &P : Procs) {
     if (P.SymbolIndex >= Symbols.size())
       return Error::failure(ModuleName + ": proc desc symbol out of range");
-    if (P.TextOffset + P.TextSize > Text.size())
+    // Compared without forming TextOffset + TextSize, which can wrap.
+    if (P.TextOffset > Text.size() || P.TextSize > Text.size() - P.TextOffset)
       return Error::failure(ModuleName + ": proc " +
                             Symbols[P.SymbolIndex].Name +
                             " extends past .text");

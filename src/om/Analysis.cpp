@@ -1158,12 +1158,20 @@ void SummaryCache::trim(size_t MaxBytes) {
 }
 
 ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
+                                         ThreadPool &Pool) {
+  SummaryCache Local;
+  return analyzeProgram(SP, Pool, Local);
+}
+
+ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
                                          ThreadPool &Pool,
-                                         SummaryCache *Cache) {
+                                         SummaryCache &Cache) {
   ProgramAnalysis PA;
   const size_t N = SP.Procs.size();
   PA.Cfgs.resize(N);
   Pool.parallelFor(N, [&](size_t I) { PA.Cfgs[I] = buildCfg(SP.Procs[I]); });
+  ++Cache.Gen;
+  ++Cache.Totals.Runs;
 
   bool AnyComputedJump = false;
   for (const Cfg &C : PA.Cfgs)
@@ -1177,35 +1185,26 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
   // from the optimistic bottom (the least fixpoint — sound because any
   // concrete returning execution has a finite call tree whose innermost
   // return surfaces in round one and propagates outward). Each round
-  // re-runs the per-procedure value analysis in parallel against the
-  // previous round's summaries; the round count is bounded by the summary
-  // lattice height. All reductions are in procedure-index order.
+  // re-keys every procedure against the previous round's summaries and
+  // evaluates, in parallel, only the rounds the cache does not hold; the
+  // round count is bounded by the summary lattice height. All reductions
+  // are in procedure-index order.
   PA.Summaries.assign(N, ProcSummary{});
   for (ProcSummary &S : PA.Summaries) {
     S.Returns = false;
     S.ClobbersPv = false;
   }
-  // Uncached path: per-round results live in Rounds. Cached path: results
-  // are shared_ptrs into the cache (Shared), so converged rounds persist
-  // across links; ProcHash/Callees are computed once per call, InputsHash
-  // is re-keyed every round against the evolving summaries.
-  std::vector<ProcRound> Rounds(Cache ? 0 : N);
-  std::vector<std::shared_ptr<SummaryCache::RoundEntry>> Shared(Cache ? N
-                                                                      : 0);
-  std::vector<uint64_t> ProcHash, InputsHash;
-  std::vector<std::vector<uint32_t>> Callees;
-  std::vector<uint8_t> FreshRound;
-  if (Cache) {
-    ++Cache->Gen;
-    ProcHash.resize(N);
-    InputsHash.resize(N);
-    Callees.resize(N);
-    FreshRound.assign(N, 0);
-    Pool.parallelFor(N, [&](size_t I) {
-      ProcHash[I] = hashProcContent(SP, static_cast<uint32_t>(I));
-      Callees[I] = directCallees(SP, static_cast<uint32_t>(I));
-    });
-  }
+  // Round results are shared_ptrs into the cache (Shared), so converged
+  // rounds outlive the call; ProcHash/Callees are computed once per call,
+  // InputsHash is re-keyed every round against the evolving summaries.
+  std::vector<std::shared_ptr<SummaryCache::RoundEntry>> Shared(N);
+  std::vector<uint64_t> ProcHash(N), InputsHash(N);
+  std::vector<std::vector<uint32_t>> Callees(N);
+  std::vector<uint8_t> FreshRound(N, 0);
+  Pool.parallelFor(N, [&](size_t I) {
+    ProcHash[I] = hashProcContent(SP, static_cast<uint32_t>(I));
+    Callees[I] = directCallees(SP, static_cast<uint32_t>(I));
+  });
   auto makeCtx = [&]() {
     TransferCtx C{SP, PA.Summaries, GpVal::other(), true, true, true};
     if (!AnyComputedJump && !AddressTaken.empty()) {
@@ -1224,76 +1223,71 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
     }
     return C;
   };
+  // Keys every procedure under \p C: its content hash plus everything its
+  // transfers read from outside it — the combined indirect summary and
+  // each direct callee's current summary, in sorted-callee order.
+  auto inputKeys = [&](const TransferCtx &C, std::vector<uint64_t> &Keys) {
+    Hasher CtxH;
+    addGpVal(CtxH, C.IndirectExitGp);
+    CtxH.addBool(C.IndirectClobbersPv);
+    CtxH.addBool(C.IndirectReturns);
+    CtxH.addBool(C.IndirectReadsPv);
+    const uint64_t CtxHash = CtxH.digest();
+    Pool.parallelFor(N, [&](size_t I) {
+      Hasher H;
+      H.addU64(ProcHash[I]);
+      H.addU64(CtxHash);
+      for (uint32_t Callee : Callees[I])
+        addSummary(H, PA.Summaries[Callee]);
+      Keys[I] = H.digest();
+    });
+  };
   bool SummariesChanged = true;
   while (SummariesChanged) {
     TransferCtx C = makeCtx();
-    if (!Cache) {
-      Pool.parallelFor(N, [&](size_t I) {
-        Rounds[I] =
-            analyzeProcRound(C, PA.Cfgs[I], static_cast<uint32_t>(I));
-      });
-    } else {
-      // Key this round: the procedure's content hash plus everything its
-      // transfers read from outside it — the combined indirect summary
-      // and each direct callee's current summary, in sorted-callee order.
-      Hasher CtxH;
-      addGpVal(CtxH, C.IndirectExitGp);
-      CtxH.addBool(C.IndirectClobbersPv);
-      CtxH.addBool(C.IndirectReturns);
-      CtxH.addBool(C.IndirectReadsPv);
-      const uint64_t CtxHash = CtxH.digest();
-      Pool.parallelFor(N, [&](size_t I) {
-        Hasher H;
-        H.addU64(ProcHash[I]);
-        H.addU64(CtxHash);
-        for (uint32_t Callee : Callees[I])
-          addSummary(H, PA.Summaries[Callee]);
-        InputsHash[I] = H.digest();
-      });
-      for (size_t I = 0; I < N; ++I) {
-        auto It = Cache->Rounds.find({ProcHash[I], InputsHash[I]});
-        if (It != Cache->Rounds.end()) {
-          Shared[I] = It->second;
-          It->second->LastUse = Cache->Gen;
-          FreshRound[I] = 0;
-          ++Cache->Totals.RoundHits;
-        } else {
-          Shared[I] = nullptr;
-          FreshRound[I] = 1;
-          ++Cache->Totals.RoundMisses;
-        }
+    inputKeys(C, InputsHash);
+    for (size_t I = 0; I < N; ++I) {
+      auto It = Cache.Rounds.find({ProcHash[I], InputsHash[I]});
+      if (It != Cache.Rounds.end()) {
+        Shared[I] = It->second;
+        It->second->LastUse = Cache.Gen;
+        FreshRound[I] = 0;
+        ++Cache.Totals.RoundsReused;
+      } else {
+        Shared[I] = nullptr;
+        FreshRound[I] = 1;
+        ++Cache.Totals.RoundsEvaluated;
       }
-      Pool.parallelFor(N, [&](size_t I) {
-        if (Shared[I])
-          return;
-        auto E = std::make_shared<SummaryCache::RoundEntry>();
-        E->R = analyzeProcRound(C, PA.Cfgs[I], static_cast<uint32_t>(I));
-        E->HasValues = true;
-        Shared[I] = std::move(E);
-      });
-      // Publish the freshly computed rounds stripped of their value
-      // tables: mid-fixpoint rounds recur every link, but only the
-      // converged round's values are worth their footprint (the upgrade
-      // happens after the loop).
-      for (size_t I = 0; I < N; ++I) {
-        if (!FreshRound[I])
-          continue;
-        auto S = std::make_shared<SummaryCache::RoundEntry>();
-        S->R.Summary = Shared[I]->R.Summary;
-        S->R.CalleeEntries = Shared[I]->R.CalleeEntries;
-        S->R.IndirectEntries = Shared[I]->R.IndirectEntries;
-        S->R.HasDataCall = Shared[I]->R.HasDataCall;
-        S->LastUse = Cache->Gen;
-        S->Bytes = roundEntryBytes(S->R, false);
-        Cache->Bytes += S->Bytes;
-        Cache->Rounds[{ProcHash[I], InputsHash[I]}] = S;
-      }
+    }
+    Pool.parallelFor(N, [&](size_t I) {
+      if (Shared[I])
+        return;
+      auto E = std::make_shared<SummaryCache::RoundEntry>();
+      E->R = analyzeProcRound(C, PA.Cfgs[I], static_cast<uint32_t>(I));
+      E->HasValues = true;
+      Shared[I] = std::move(E);
+    });
+    // Publish the freshly computed rounds stripped of their value tables:
+    // mid-fixpoint rounds recur every analysis, but only the converged
+    // round's values are worth their footprint (the upgrade happens after
+    // the loop).
+    for (size_t I = 0; I < N; ++I) {
+      if (!FreshRound[I])
+        continue;
+      auto S = std::make_shared<SummaryCache::RoundEntry>();
+      S->R.Summary = Shared[I]->R.Summary;
+      S->R.CalleeEntries = Shared[I]->R.CalleeEntries;
+      S->R.IndirectEntries = Shared[I]->R.IndirectEntries;
+      S->R.HasDataCall = Shared[I]->R.HasDataCall;
+      S->LastUse = Cache.Gen;
+      S->Bytes = roundEntryBytes(S->R, false);
+      Cache.Bytes += S->Bytes;
+      Cache.Rounds[{ProcHash[I], InputsHash[I]}] = S;
     }
     SummariesChanged = false;
     for (size_t I = 0; I < N; ++I) {
       ProcSummary &Old = PA.Summaries[I];
-      const ProcSummary &New =
-          Cache ? Shared[I]->R.Summary : Rounds[I].Summary;
+      const ProcSummary &New = Shared[I]->R.Summary;
       if (Old.ExitGp != New.ExitGp || Old.Returns != New.Returns ||
           Old.ClobbersPv != New.ClobbersPv ||
           Old.ReadsPvAtEntry != New.ReadsPvAtEntry ||
@@ -1305,15 +1299,12 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
       }
     }
   }
-  if (!Cache) {
-    PA.Values.resize(N);
-    for (size_t I = 0; I < N; ++I)
-      PA.Values[I] = std::move(Rounds[I].Values);
-  } else {
-    // Converged: the keys of the final round name the fixpoint state.
-    // Ensure every procedure's entry at its converged key carries the
-    // value tables (recomputing the round for procedures whose final
-    // lookup hit a stripped mid-fixpoint entry), then copy them out.
+
+  // Converged: the keys of the final round name the fixpoint state. Ensure
+  // every procedure's entry at its converged key carries the value tables
+  // (recomputing the round for procedures whose final lookup hit a
+  // stripped mid-fixpoint entry), then share them with the result.
+  {
     TransferCtx C = makeCtx();
     std::vector<std::shared_ptr<SummaryCache::RoundEntry>> Recomputed(N);
     Pool.parallelFor(N, [&](size_t I) {
@@ -1324,37 +1315,33 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
       E->HasValues = true;
       Recomputed[I] = std::move(E);
     });
+    PA.Values.resize(N);
     for (size_t I = 0; I < N; ++I) {
-      std::shared_ptr<SummaryCache::RoundEntry> Full;
-      if (Recomputed[I])
-        Full = Recomputed[I]; // converged lookup hit a stripped entry
+      std::shared_ptr<SummaryCache::RoundEntry> Full = Recomputed[I];
+      if (Full)
+        ++Cache.Totals.RoundsEvaluated; // converged lookup hit a stripped entry
       else if (FreshRound[I])
         Full = Shared[I]; // computed in the final round, values in hand
-      else
-        continue; // hit an already-upgraded entry
-      SummaryCache::Key K{ProcHash[I], InputsHash[I]};
-      auto It = Cache->Rounds.find(K);
-      if (It != Cache->Rounds.end())
-        Cache->Bytes -= It->second->Bytes;
-      Full->HasValues = true;
-      Full->LastUse = Cache->Gen;
-      Full->Bytes = roundEntryBytes(Full->R, true);
-      Cache->Bytes += Full->Bytes;
-      Cache->Rounds[K] = Full;
-      Shared[I] = Full;
+      if (Full) {
+        SummaryCache::Key K{ProcHash[I], InputsHash[I]};
+        auto It = Cache.Rounds.find(K);
+        if (It != Cache.Rounds.end())
+          Cache.Bytes -= It->second->Bytes;
+        Full->LastUse = Cache.Gen;
+        Full->Bytes = roundEntryBytes(Full->R, true);
+        Cache.Bytes += Full->Bytes;
+        Cache.Rounds[K] = Full;
+        Shared[I] = std::move(Full);
+      }
+      PA.Values[I] = std::shared_ptr<const ProcValues>(Shared[I],
+                                                       &Shared[I]->R.Values);
     }
-    PA.Values.resize(N);
-    Pool.parallelFor(N,
-                     [&](size_t I) { PA.Values[I] = Shared[I]->R.Values; });
   }
-  auto roundOf = [&](size_t I) -> const ProcRound & {
-    return Cache ? Shared[I]->R : Rounds[I];
-  };
 
   // Final combined indirect summary, stored for query-time transfers.
   bool AnyDataCall = false;
   for (size_t I = 0; I < N; ++I)
-    AnyDataCall |= roundOf(I).HasDataCall;
+    AnyDataCall |= Shared[I]->R.HasDataCall;
   {
     TransferCtx C = makeCtx();
     PA.IndirectExitGp = C.IndirectExitGp;
@@ -1397,7 +1384,7 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
     EntryChanged = false;
     for (uint32_t I = 0; I < N; ++I) {
       const GpVal MyEntry = PA.Summaries[I].EntryGp;
-      for (const auto &[Callee, Raw] : roundOf(I).CalleeEntries) {
+      for (const auto &[Callee, Raw] : Shared[I]->R.CalleeEntries) {
         if (Callee >= N)
           continue;
         GpVal V = resolveEntry(Raw, MyEntry);
@@ -1406,7 +1393,7 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
         E |= V;
         EntryChanged |= !(E == Old);
       }
-      for (const GpVal &Raw : roundOf(I).IndirectEntries) {
+      for (const GpVal &Raw : Shared[I]->R.IndirectEntries) {
         GpVal V = resolveEntry(Raw, MyEntry);
         for (uint32_t P : AddressTaken) {
           GpVal &E = PA.Summaries[P].EntryGp;
@@ -1419,8 +1406,9 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
   }
 
   // Backward liveness per procedure (pure: needs only the converged
-  // summaries).
-  PA.Live.resize(N);
+  // summaries). It reads the same per-procedure inputs the rounds do, but
+  // against the final (possibly data-call-poisoned) indirect summary, so
+  // it is keyed independently.
   {
     TransferCtx C{SP,
                   PA.Summaries,
@@ -1428,58 +1416,33 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
                   PA.IndirectClobbersPv,
                   PA.IndirectReturns,
                   PA.IndirectReadsPv};
-    if (!Cache) {
-      Pool.parallelFor(N, [&](size_t I) {
-        PA.Live[I] =
-            analyzeLiveness(C, PA.Cfgs[I], static_cast<uint32_t>(I));
-      });
-    } else {
-      // Liveness depends on the same per-procedure inputs the rounds do,
-      // but against the final (possibly data-call-poisoned) indirect
-      // summary — hash it independently.
-      Hasher CtxH;
-      addGpVal(CtxH, C.IndirectExitGp);
-      CtxH.addBool(C.IndirectClobbersPv);
-      CtxH.addBool(C.IndirectReturns);
-      CtxH.addBool(C.IndirectReadsPv);
-      const uint64_t CtxHash = CtxH.digest();
-      std::vector<uint64_t> LiveKey(N);
-      Pool.parallelFor(N, [&](size_t I) {
-        Hasher H;
-        H.addU64(ProcHash[I]);
-        H.addU64(CtxHash);
-        for (uint32_t Callee : Callees[I])
-          addSummary(H, PA.Summaries[Callee]);
-        LiveKey[I] = H.digest();
-      });
-      std::vector<std::shared_ptr<SummaryCache::LiveEntry>> L(N);
-      for (size_t I = 0; I < N; ++I) {
-        auto It = Cache->Liveness.find({ProcHash[I], LiveKey[I]});
-        if (It != Cache->Liveness.end()) {
-          L[I] = It->second;
-          It->second->LastUse = Cache->Gen;
-          ++Cache->Totals.LiveHits;
-        } else {
-          ++Cache->Totals.LiveMisses;
-        }
+    std::vector<uint64_t> LiveKey(N);
+    inputKeys(C, LiveKey);
+    std::vector<std::shared_ptr<SummaryCache::LiveEntry>> L(N);
+    for (size_t I = 0; I < N; ++I) {
+      auto It = Cache.Liveness.find({ProcHash[I], LiveKey[I]});
+      if (It != Cache.Liveness.end()) {
+        L[I] = It->second;
+        It->second->LastUse = Cache.Gen;
       }
-      Pool.parallelFor(N, [&](size_t I) {
-        if (L[I])
-          return;
-        auto E = std::make_shared<SummaryCache::LiveEntry>();
-        E->L = analyzeLiveness(C, PA.Cfgs[I], static_cast<uint32_t>(I));
-        L[I] = std::move(E);
-      });
-      for (size_t I = 0; I < N; ++I) {
-        SummaryCache::Key K{ProcHash[I], LiveKey[I]};
-        if (!Cache->Liveness.count(K)) {
-          L[I]->LastUse = Cache->Gen;
-          L[I]->Bytes = 64 + L[I]->L.In.size() * 16;
-          Cache->Bytes += L[I]->Bytes;
-          Cache->Liveness.emplace(K, L[I]);
-        }
-        PA.Live[I] = L[I]->L;
+    }
+    Pool.parallelFor(N, [&](size_t I) {
+      if (L[I])
+        return;
+      auto E = std::make_shared<SummaryCache::LiveEntry>();
+      E->L = analyzeLiveness(C, PA.Cfgs[I], static_cast<uint32_t>(I));
+      L[I] = std::move(E);
+    });
+    PA.Live.resize(N);
+    for (size_t I = 0; I < N; ++I) {
+      SummaryCache::Key K{ProcHash[I], LiveKey[I]};
+      if (!Cache.Liveness.count(K)) {
+        L[I]->LastUse = Cache.Gen;
+        L[I]->Bytes = 64 + L[I]->L.In.size() * 16;
+        Cache.Bytes += L[I]->Bytes;
+        Cache.Liveness.emplace(K, L[I]);
       }
+      PA.Live[I] = std::shared_ptr<const ProcLiveness>(L[I], &L[I]->L);
     }
   }
 
@@ -1503,7 +1466,7 @@ ValueState ProgramAnalysis::valuesBefore(const SymbolicProgram &SP,
   if (InstIdx >= C.BlockOf.size())
     return ValueState();
   uint32_t B = C.BlockOf[InstIdx];
-  ValueState S = Values[ProcIdx].In[B];
+  ValueState S = Values[ProcIdx]->In[B];
   TransferCtx Ctx{SP,
                   Summaries,
                   IndirectExitGp,
@@ -1529,7 +1492,7 @@ uint64_t ProgramAnalysis::liveAfter(const SymbolicProgram &SP,
                   IndirectClobbersPv,
                   IndirectReturns,
                   IndirectReadsPv};
-  uint64_t L = Live[ProcIdx].Out[B];
+  uint64_t L = Live[ProcIdx]->Out[B];
   for (uint32_t I = Blk.End; I > InstIdx + 1; --I)
     L = liveStep(Ctx, Proc.Insts[I - 1], L);
   return L;
@@ -1548,7 +1511,7 @@ std::vector<uint8_t> analysis::memBaseRegions(const SymbolicProgram &SP,
                   PA.IndirectReturns,
                   PA.IndirectReadsPv};
   for (uint32_t B = 0; B < C.Blocks.size(); ++B) {
-    ValueState S = PA.Values[ProcIdx].In[B];
+    ValueState S = PA.Values[ProcIdx]->In[B];
     const CfgBlock &Blk = C.Blocks[B];
     for (uint32_t I = Blk.Begin; I < Blk.End; ++I) {
       const SymInst &SI = Proc.Insts[I];
@@ -2159,16 +2122,6 @@ analysis::renderLintSarif(const std::vector<LintFinding> &Findings) {
   }
   Out += "]}]}\n";
   return Out;
-}
-
-unsigned analysis::runLint(const SymbolicProgram &SP,
-                           const ProgramAnalysis &PA,
-                           DiagnosticEngine &Diags) {
-  ThreadPool Pool(1);
-  std::vector<LintFinding> Findings = lintProgram(SP, PA, Pool);
-  for (const LintFinding &F : Findings)
-    Diags.warning("lint:" + F.Proc, SourceLoc{F.InstIdx + 1, 0}, F.Message);
-  return static_cast<unsigned>(Findings.size());
 }
 
 //===----------------------------------------------------------------------===//

@@ -36,7 +36,7 @@
 /// passes fan out on the ThreadPool into per-index slots and are reduced in
 /// procedure order, so results are identical for any pool size. OmContext
 /// (OmImpl.h) caches one ProgramAnalysis per mutation epoch; transforms
-/// invalidate it by stage.
+/// invalidate it by stage, and each recompute reuses the link's memo.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +44,6 @@
 #define OM64_OM_ANALYSIS_H
 
 #include "om/SymbolicProgram.h"
-#include "support/Diagnostics.h"
 #include "support/ThreadPool.h"
 
 #include <array>
@@ -337,11 +336,12 @@ struct ProcRound {
 //===----------------------------------------------------------------------===//
 
 /// Everything OmAnalysis knows about one SymbolicProgram. All vectors are
-/// indexed by procedure.
+/// indexed by procedure. Values and Live alias (never copy) the tables of
+/// SummaryCache entries, keeping them alive if the cache drops the entry.
 struct ProgramAnalysis {
   std::vector<Cfg> Cfgs;
-  std::vector<ProcValues> Values;
-  std::vector<ProcLiveness> Live;
+  std::vector<std::shared_ptr<const ProcValues>> Values;
+  std::vector<std::shared_ptr<const ProcLiveness>> Live;
   std::vector<ProcSummary> Summaries;
   /// Combined summary applied at indirect call sites: the union of every
   /// address-taken procedure's ExitGp/ClobbersPv (conservatively Unknown
@@ -373,17 +373,18 @@ struct ProgramAnalysis {
                    uint32_t InstIdx, uint32_t Group) const;
 };
 
-/// Cross-link cache of per-procedure analysis results, owned by an
-/// om::IncrementalLinker and consulted by analyzeProgram when one is
-/// passed. Keys are content hashes: the procedure's own code plus every
-/// cross-procedure fact its transfer functions read (Proc), and the
-/// summary inputs of the fixpoint round (Inputs — callee summaries plus
-/// the combined indirect summary). A hit is therefore exactly a round the
-/// fixpoint would recompute bit-identically, which is what keeps warm
-/// relinks byte-identical to cold ones. Mid-fixpoint rounds are stored
-/// stripped (no value table); the converged round per procedure is
-/// upgraded to carry block-entry values. Not thread-safe: one cache per
-/// output image, used under that image's serialization lock.
+/// Memo of per-procedure analysis results behind every analyzeProgram
+/// call: one per om::optimize() link, one per output image across
+/// om::IncrementalLinker relinks, or a call-local one. Keys are content
+/// hashes: the procedure's own code plus every cross-procedure fact its
+/// transfer functions read (Proc), and the summary inputs of the fixpoint
+/// round (Inputs — callee summaries plus the combined indirect summary).
+/// A hit is therefore exactly a round the fixpoint would recompute
+/// bit-identically, so no result depends on the cache's history, and a
+/// round whose inputs did not move is never re-evaluated. Mid-fixpoint
+/// rounds are stored stripped (no value table); the converged round per
+/// procedure is upgraded to carry block-entry values. Not thread-safe:
+/// one analysis at a time per cache.
 class SummaryCache {
 public:
   struct Key {
@@ -408,11 +409,11 @@ public:
     uint64_t LastUse = 0;
     size_t Bytes = 0;
   };
+  /// Work summed over every analyzeProgram call on this cache.
   struct Counters {
-    uint64_t RoundHits = 0;
-    uint64_t RoundMisses = 0;
-    uint64_t LiveHits = 0;
-    uint64_t LiveMisses = 0;
+    uint64_t Runs = 0;            // analyzeProgram calls
+    uint64_t RoundsEvaluated = 0; // per-procedure rounds computed
+    uint64_t RoundsReused = 0;    // fixpoint-round lookups served
   };
   Counters Totals;
 
@@ -431,12 +432,15 @@ public:
 /// Analyzes the whole program: CFGs and dominators per procedure, the
 /// interprocedural GP fixpoint, per-procedure value states and liveness.
 /// Deterministic for any pool size (per-index slots, procedure-order
-/// reductions, order-insensitive meets). With \p Cache, per-procedure
-/// rounds and liveness are reused across calls when their content keys
-/// match; the result is bit-identical to an uncached run by construction
-/// (keys cover every input the per-procedure computations read).
+/// reductions, order-insensitive meets). Per-procedure rounds and liveness
+/// go through \p Cache by content key; the result is the same for any
+/// cache contents (keys cover every input the computations read).
 ProgramAnalysis analyzeProgram(const SymbolicProgram &SP, ThreadPool &Pool,
-                               SummaryCache *Cache = nullptr);
+                               SummaryCache &Cache);
+
+/// analyzeProgram with a fresh call-local cache, sharing no entry with any
+/// link: verifyDeletionProofs and the report-only lint re-derive with it.
+ProgramAnalysis analyzeProgram(const SymbolicProgram &SP, ThreadPool &Pool);
 
 /// Classifies every instruction's memory base register for the
 /// rescheduler's alias disambiguation: 0 = unknown, 1 = global (a
@@ -515,13 +519,6 @@ std::string renderLintJson(const std::vector<LintFinding> &Findings);
 /// finding (ruleId = code, artifactLocation.uri = procedure name,
 /// region.startLine = 1-based instruction index).
 std::string renderLintSarif(const std::vector<LintFinding> &Findings);
-
-/// Compatibility wrapper over lintProgram: appends one warning per finding
-/// to \p Diags (buffer "lint:<procedure>", line = 1-based instruction
-/// index, message prefixed with the L-code) and returns the number of
-/// findings. Runs the per-procedure passes serially.
-unsigned runLint(const SymbolicProgram &SP, const ProgramAnalysis &PA,
-                 DiagnosticEngine &Diags);
 
 /// One corpus case: a complete, linkable module seeded with exactly one
 /// lint defect (Code "L001".."L010"), or none (Code empty, Name "clean").

@@ -121,17 +121,15 @@ IncrementalLinker::relink(const std::vector<std::vector<uint8_t>> &Modules) {
   ThreadPool Pool(effectiveJobs(Opts, TotalInsts));
 
   Lifts.CurrentHashes = ModuleHashes;
-  const analysis::SummaryCache::Counters Before = Summaries.Totals;
-  Result<OmResult> R = runPipeline(Objs, Opts, Pool, &Lifts, &Summaries);
+  Result<OmResult> R = runPipeline(Objs, Opts, Pool, &Lifts, Summaries);
   if (!R)
     return Result<RelinkResult>::failure(R.message());
 
   Out.Stats.ModulesRelifted = Lifts.ModulesLifted;
   Out.Stats.ProcsTotal = Lifts.ProcsReused + Lifts.ProcsLifted;
   Out.Stats.ProcsRelifted = Lifts.ProcsLifted;
-  Out.Stats.SummaryRoundHits = Summaries.Totals.RoundHits - Before.RoundHits;
-  Out.Stats.SummaryRoundMisses =
-      Summaries.Totals.RoundMisses - Before.RoundMisses;
+  Out.Stats.SummaryRoundHits = R->Stats.AnalysisRoundsReused;
+  Out.Stats.SummaryRoundMisses = R->Stats.AnalysisRoundsEvaluated;
   Out.Stats.Om = R->Stats;
 
   Out.ImageBytes = R->Image.serialize();

@@ -11,7 +11,9 @@
 /// (analysis::SummaryCache) across relinks of the same image. Each relink
 /// takes the full set of module byte vectors, content-hashes them,
 /// reparses only positions whose bytes changed, and runs the ordinary OM
-/// pipeline with both caches attached.
+/// pipeline with both caches attached. A one-shot om::optimize() runs the
+/// same analysis path with a SummaryCache of its own that dies with the
+/// link; the relinker differs only in keeping its cache across relinks.
 ///
 /// Correctness contract: the produced image is byte-identical to a
 /// from-scratch om::optimize() of the same inputs with the same options,
@@ -61,7 +63,9 @@ struct RelinkStats {
   uint64_t ProcsTotal = 0;
   uint64_t ProcsRelifted = 0;
 
-  /// Summary-fixpoint cache traffic (analysis links only; zero otherwise).
+  /// Summary-fixpoint cache traffic of this relink (analysis or lint
+  /// links only; zero otherwise): Om.AnalysisRoundsReused and
+  /// Om.AnalysisRoundsEvaluated.
   uint64_t SummaryRoundHits = 0;
   uint64_t SummaryRoundMisses = 0;
 

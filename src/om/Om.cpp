@@ -77,15 +77,17 @@ Result<OmResult> om64::om::optimize(const std::vector<obj::ObjectFile> &Objs,
   for (const obj::ObjectFile &O : Objs)
     TotalInsts += O.Text.size() / 4;
   ThreadPool Pool(effectiveJobs(*Opts, TotalInsts));
-  return runPipeline(Objs, *Opts, Pool, nullptr, nullptr);
+  analysis::SummaryCache Summaries;
+  return runPipeline(Objs, *Opts, Pool, nullptr, Summaries);
 }
 
 Result<OmResult> om64::om::runPipeline(const std::vector<obj::ObjectFile> &Objs,
                                        const OmOptions &Opts, ThreadPool &Pool,
                                        LiftCache *LC,
-                                       analysis::SummaryCache *SC) {
+                                       analysis::SummaryCache &SC) {
   OmResult Out;
   Out.Stats.Jobs = Pool.threadCount();
+  const analysis::SummaryCache::Counters Before = SC.Totals;
   auto TotalStart = std::chrono::steady_clock::now();
 
   auto LiftStart = std::chrono::steady_clock::now();
@@ -146,7 +148,25 @@ Result<OmResult> om64::om::runPipeline(const std::vector<obj::ObjectFile> &Objs,
     if (E)
       return Result<OmResult>::failure(E.message());
   }
+  Out.Stats.AnalysisRuns = SC.Totals.Runs - Before.Runs;
+  Out.Stats.AnalysisRoundsEvaluated =
+      SC.Totals.RoundsEvaluated - Before.RoundsEvaluated;
+  Out.Stats.AnalysisRoundsReused =
+      SC.Totals.RoundsReused - Before.RoundsReused;
   Out.Stats.Seconds.Total = secondsSince(TotalStart);
   Out.Image = Img.take();
+  return Out;
+}
+
+Result<LintRun> om64::om::lintObjects(const std::vector<obj::ObjectFile> &Objs,
+                                      const OmOptions &Opts) {
+  ThreadPool Pool(Opts.Jobs);
+  Result<SymbolicProgram> SP = liftProgram(Objs, Opts, Pool);
+  if (!SP)
+    return Result<LintRun>::failure(SP.message());
+  LintRun Out;
+  Out.Findings = analysis::lintProgram(*SP, analysis::analyzeProgram(*SP, Pool),
+                                       Pool);
+  Out.Procs = SP->Procs.size();
   return Out;
 }

@@ -183,6 +183,11 @@ struct OmStats {
   /// proved the two base registers point into disjoint regions (GAT/data
   /// vs stack). Nonzero only with Reschedule and Analysis.
   uint64_t SchedMemDepsFreed = 0;
+  /// Dataflow work from the link's SummaryCache (not the verifier's own
+  /// cache): analyzeProgram calls, rounds computed, rounds reused.
+  uint64_t AnalysisRuns = 0;
+  uint64_t AnalysisRoundsEvaluated = 0;
+  uint64_t AnalysisRoundsReused = 0;
 
   // Section 5.1: GAT size.
   uint64_t GatBytesBefore = 0; // merged + deduplicated, before reduction

@@ -26,11 +26,11 @@ namespace om {
 /// Every transform that changes the symbolic form calls invalidate(); the
 /// next program() call recomputes against the mutated program, so no phase
 /// can consume facts derived from a shape that no longer exists (the same
-/// bug class OmVerify exists for, closed structurally).
+/// bug class OmVerify exists for, closed structurally). Through the link's
+/// SummaryCache, a recompute re-derives only what the mutation moved.
 class OmContext {
 public:
-  OmContext(SymbolicProgram &SP, ThreadPool &Pool,
-            analysis::SummaryCache *SC = nullptr)
+  OmContext(SymbolicProgram &SP, ThreadPool &Pool, analysis::SummaryCache &SC)
       : SP(SP), Pool(Pool), SC(SC) {}
 
   /// Marks every cached analysis stale. Cheap; call after any mutation.
@@ -50,11 +50,9 @@ public:
 private:
   SymbolicProgram &SP;
   ThreadPool &Pool;
-  /// Cross-link memo of per-procedure fixpoint rounds and liveness,
-  /// owned by the incremental relinker; nullptr for one-shot links.
-  /// Verify.cpp and the lint deliberately run analyzeProgram without it
-  /// so their re-derivations stay independent of the cache.
-  analysis::SummaryCache *SC;
+  /// The link's memo of fixpoint rounds and liveness. Verify.cpp and the
+  /// report-only lint use call-local caches, sharing no entry with it.
+  analysis::SummaryCache &SC;
   uint64_t Epoch = 0;
   uint64_t CachedEpoch = ~0ull;
   std::optional<analysis::ProgramAnalysis> Cached;
@@ -222,13 +220,23 @@ unsigned effectiveJobs(const OmOptions &Opts, uint64_t TotalInsts);
 
 /// The OM pipeline proper: lift, verify, call transforms, verify, layout
 /// and emit — everything optimize() does after option canonicalization
-/// and pool selection. \p Opts must already be canonicalized. The two
-/// caches are optional cross-link memos (see LiftCache /
-/// analysis::SummaryCache); passing nullptr gives the one-shot behavior,
-/// and any combination produces a byte-identical image.
+/// and pool selection. \p Opts must already be canonicalized. \p LC is an
+/// optional lift memo; \p SC the analysis memo (fresh per optimize(), or
+/// the relinker's), whose counter growth fills the Analysis* work stats.
+/// Any combination produces a byte-identical image.
 Result<OmResult> runPipeline(const std::vector<obj::ObjectFile> &Objs,
                              const OmOptions &Opts, ThreadPool &Pool,
-                             LiftCache *LC, analysis::SummaryCache *SC);
+                             LiftCache *LC, analysis::SummaryCache &SC);
+
+struct LintRun {
+  std::vector<analysis::LintFinding> Findings;
+  size_t Procs = 0; ///< procedures linted
+};
+
+/// The report-only lint of `omlink --lint` and `aaxlint`: lift, analyze
+/// with a call-local cache, lintProgram, all on Opts.Jobs workers.
+Result<LintRun> lintObjects(const std::vector<obj::ObjectFile> &Objs,
+                            const OmOptions &Opts);
 
 /// Pessimistic upper bound on each procedure's end offset in the final
 /// text under \p Opts: nothing deleted, every possible insertion

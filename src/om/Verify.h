@@ -77,7 +77,8 @@ Error verifyStage(const SymbolicProgram &SP, const std::string &Stage,
                   ThreadPool *Pool = nullptr);
 
 /// Re-derives the dataflow proof behind every analysis-based deletion
-/// (SymInst::AnalysisNullified) from a *fresh* ProgramAnalysis and fails
+/// (SymInst::AnalysisNullified) from a *fresh* ProgramAnalysis (its own
+/// call-local SummaryCache, sharing no entry with the link) and fails
 /// if any deletion is no longer justified: a deleted GP pair must see GP
 /// already holding the procedure's group on every path into the pair (or
 /// the pair must be unreachable), and a deleted address load must be

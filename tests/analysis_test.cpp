@@ -204,7 +204,7 @@ TEST(AnalysisTest, LivenessGolden) {
   ThreadPool Pool(1);
   ProgramAnalysis PA = analyzeProgram(Prog, Pool);
   ASSERT_EQ(PA.Live.size(), 1u);
-  uint64_t EntryLive = PA.Live[0].In[0];
+  uint64_t EntryLive = PA.Live[0]->In[0];
   EXPECT_TRUE(EntryLive & (1ull << intUnit(T1))); // read before any write
   EXPECT_FALSE(EntryLive & (1ull << intUnit(T0))); // never read
   EXPECT_TRUE(EntryLive & (1ull << intUnit(RA))); // the RET needs it
@@ -343,6 +343,46 @@ TEST(AnalysisTest, SchedulerUsesBaseRegionsUnderAnalysis) {
   EXPECT_EQ(Run->ExitCode, 0);
 }
 
+TEST(AnalysisTest, WorkCountersAreIdenticalAcrossJobCounts) {
+  lang::Program P = parseProgram({{"t", CallHeavySource}});
+  DiagnosticEngine Diags;
+  ASSERT_TRUE(lang::checkEntryPoint(P, Diags)) << Diags.render();
+  std::vector<obj::ObjectFile> Objs = compileAll(P);
+
+  OmOptions Opts;
+  Opts.Level = OmLevel::Full;
+  Opts.Reschedule = true;
+  Opts.Analysis = true;
+  Opts.Lint = true;
+  Opts.Verify = true; // its re-derivation must not count as link work
+  Opts.SerialFallbackInsts = 0;
+  Opts.Jobs = 1;
+  Result<OmResult> Serial = optimize(Objs, Opts);
+  ASSERT_TRUE(bool(Serial)) << Serial.message();
+  Opts.Jobs = 4;
+  Result<OmResult> Par = optimize(Objs, Opts);
+  ASSERT_TRUE(bool(Par)) << Par.message();
+
+  const OmStats &S = Serial->Stats;
+  // Lint, deletion Pass A, Pass B, and the rescheduler's classification.
+  EXPECT_EQ(S.AnalysisRuns, 4u);
+  EXPECT_GT(S.AnalysisRoundsEvaluated, 0u);
+  // Later runs reuse the rounds of procedures the passes left unchanged.
+  EXPECT_GT(S.AnalysisRoundsReused, 0u);
+  EXPECT_EQ(Par->Stats.AnalysisRuns, S.AnalysisRuns);
+  EXPECT_EQ(Par->Stats.AnalysisRoundsEvaluated, S.AnalysisRoundsEvaluated);
+  EXPECT_EQ(Par->Stats.AnalysisRoundsReused, S.AnalysisRoundsReused);
+
+  // A link without the analysis or the lint runs no dataflow at all.
+  Opts.Analysis = false;
+  Opts.Lint = false;
+  Result<OmResult> Plain = optimize(Objs, Opts);
+  ASSERT_TRUE(bool(Plain)) << Plain.message();
+  EXPECT_EQ(Plain->Stats.AnalysisRuns, 0u);
+  EXPECT_EQ(Plain->Stats.AnalysisRoundsEvaluated, 0u);
+  EXPECT_EQ(Plain->Stats.AnalysisRoundsReused, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Lint corpus: exact diagnostics
 //===----------------------------------------------------------------------===//
@@ -358,15 +398,15 @@ TEST(LintTest, CorpusReportsExactlyTheSeededDefect) {
     Result<SymbolicProgram> SP = liftProgram(Objs, Opts, Pool);
     ASSERT_TRUE(bool(SP)) << Case.Name << ": " << SP.message();
     ProgramAnalysis PA = analyzeProgram(*SP, Pool);
-    DiagnosticEngine Diags;
-    unsigned N = runLint(*SP, PA, Diags);
+    std::vector<LintFinding> Findings = lintProgram(*SP, PA, Pool);
+    size_t N = Findings.size();
+    std::string Rendered = renderLintText(Findings, /*Explain=*/false);
     if (Case.Code.empty()) {
-      EXPECT_EQ(N, 0u) << "clean case flagged:\n" << Diags.render();
+      EXPECT_EQ(N, 0u) << "clean case flagged:\n" << Rendered;
       continue;
     }
     Codes.insert(Case.Code);
     EXPECT_GT(N, 0u) << Case.Name << " was not flagged";
-    std::string Rendered = Diags.render();
     EXPECT_NE(Rendered.find(Case.Code + ":"), std::string::npos)
         << Case.Name << " findings lack " << Case.Code << ":\n"
         << Rendered;

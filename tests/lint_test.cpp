@@ -31,8 +31,8 @@ namespace {
 
 /// Lints the given objects; returns the findings count and fills
 /// \p Rendered with the diagnostics.
-unsigned lintObjects(const std::vector<obj::ObjectFile> &Objs,
-                     std::string &Rendered) {
+unsigned lintAndRender(const std::vector<obj::ObjectFile> &Objs,
+                       std::string &Rendered) {
   ThreadPool Pool(0);
   OmOptions Opts;
   Result<SymbolicProgram> SP = liftProgram(Objs, Opts, Pool);
@@ -40,10 +40,9 @@ unsigned lintObjects(const std::vector<obj::ObjectFile> &Objs,
   if (!SP)
     return ~0u;
   ProgramAnalysis PA = analyzeProgram(*SP, Pool);
-  DiagnosticEngine Diags;
-  unsigned N = runLint(*SP, PA, Diags);
-  Rendered = Diags.render();
-  return N;
+  std::vector<LintFinding> Findings = lintProgram(*SP, PA, Pool);
+  Rendered = renderLintText(Findings, /*Explain=*/false);
+  return static_cast<unsigned>(Findings.size());
 }
 
 class WorkloadLintTest : public ::testing::TestWithParam<std::string> {};
@@ -54,7 +53,7 @@ TEST_P(WorkloadLintTest, LintsClean) {
   ASSERT_TRUE(bool(W)) << W.message();
   for (wl::CompileMode Mode : {wl::CompileMode::Each, wl::CompileMode::All}) {
     std::string Rendered;
-    unsigned N = lintObjects(W->linkSet(Mode), Rendered);
+    unsigned N = lintAndRender(W->linkSet(Mode), Rendered);
     EXPECT_EQ(N, 0u) << Name << " ("
                      << (Mode == wl::CompileMode::Each ? "each" : "all")
                      << "): " << Rendered;
@@ -72,7 +71,7 @@ TEST(LintCorpusTest, FindingsCarryProvenance) {
     if (Case.Code.empty())
       continue;
     std::string Rendered;
-    unsigned N = lintObjects({Case.Obj}, Rendered);
+    unsigned N = lintAndRender({Case.Obj}, Rendered);
     ASSERT_EQ(N, 1u) << Case.Name << ":\n" << Rendered;
     EXPECT_NE(Rendered.find(Case.Code), std::string::npos) << Rendered;
     // Every corpus diagnostic is anchored in a lintcase procedure buffer.
@@ -234,7 +233,7 @@ TEST(MegagenLintTest, AllShapesLintClean) {
     Spec.TargetInstructions = 20000;
     megagen::MegaProgram MP = megagen::generate(Spec);
     std::string Rendered;
-    unsigned N = lintObjects(MP.Objects, Rendered);
+    unsigned N = lintAndRender(MP.Objects, Rendered);
     EXPECT_EQ(N, 0u) << megagen::shapeName(Shape) << ":\n" << Rendered;
   }
 }

@@ -145,6 +145,21 @@ TEST(ObjectFileTest, VerifyCatchesInconsistencies) {
   EXPECT_FALSE(bool(sampleObject().verify()));
 }
 
+TEST(ObjectFileTest, RejectsWrappingProcExtent) {
+  // TextOffset + TextSize wraps to 4, inside the 16-byte .text; the extent
+  // itself lies almost entirely past it.
+  ObjectFile O = sampleObject();
+  ProcDesc D;
+  D.SymbolIndex = 0;
+  D.TextOffset = ~0ull - 3; // 2^64 - 4
+  D.TextSize = 8;
+  O.Procs.push_back(D);
+  Result<ObjectFile> Back = ObjectFile::deserialize(O.serialize());
+  ASSERT_FALSE(bool(Back));
+  EXPECT_NE(Back.message().find("extends past .text"), std::string::npos)
+      << Back.message();
+}
+
 TEST(ObjectFileTest, FindSymbol) {
   ObjectFile O = sampleObject();
   EXPECT_EQ(O.findSymbol("demo.counter"), 1u);

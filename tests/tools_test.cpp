@@ -45,6 +45,22 @@ int runCommand(const std::string &Cmd, std::string &Stdout) {
   return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
 }
 
+/// Like runCommand but captures stderr instead of discarding it, for
+/// asserting diagnostic text.
+int runCommandErr(const std::string &Cmd, std::string &Output) {
+  std::string Full = Cmd + " 2>&1";
+  std::FILE *P = popen(Full.c_str(), "r");
+  if (!P)
+    return -1;
+  char Buf[4096];
+  Output.clear();
+  size_t N;
+  while ((N = fread(Buf, 1, sizeof(Buf), P)) > 0)
+    Output.append(Buf, N);
+  int Status = pclose(P);
+  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+}
+
 class ToolchainTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -368,6 +384,16 @@ TEST_F(ToolchainTest, AnalysisFlagDeletesAndReports) {
       << Out;
   EXPECT_NE(Out.find("analysis_gp_pairs_deleted"), std::string::npos) << Out;
   EXPECT_NE(Out.find("analysis_dead_loads_deleted"), std::string::npos);
+  // Deletion Pass A and Pass B each analyze the program once.
+  EXPECT_NE(Out.find("\"analysis_runs\": 2,"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("\"analysis_rounds_evaluated\": "), std::string::npos);
+  EXPECT_NE(Out.find("\"analysis_rounds_reused\": "), std::string::npos);
+  EXPECT_EQ(runCommandErr(toolsDir() + "/omlink -O full --analysis --stats "
+                              "-o " + Dir + "/ana.aaxe " + allObjects(),
+                          Out),
+            0)
+      << Out;
+  EXPECT_NE(Out.find("  dataflow       2 run(s), "), std::string::npos) << Out;
   // Program behaviour is unchanged by the extra deletions.
   EXPECT_EQ(runCommand(toolsDir() + "/aaxrun " + Dir + "/ana.aaxe", Out), 6);
   EXPECT_EQ(Out, "30\n");
@@ -529,22 +555,6 @@ TEST_F(ToolchainTest, MegagenGeneratesLinkableDeterministicWorkloads) {
             2);
 }
 
-/// Like runCommand but captures stderr instead of discarding it, for
-/// asserting diagnostic text.
-int runCommandErr(const std::string &Cmd, std::string &Output) {
-  std::string Full = Cmd + " 2>&1";
-  std::FILE *P = popen(Full.c_str(), "r");
-  if (!P)
-    return -1;
-  char Buf[4096];
-  Output.clear();
-  size_t N;
-  while ((N = fread(Buf, 1, sizeof(Buf), P)) > 0)
-    Output.append(Buf, N);
-  int Status = pclose(P);
-  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-}
-
 TEST_F(ToolchainTest, BadNumericArgsExitTwoWithDiagnostic) {
   // Every tool must reject non-numeric or overflowing numeric arguments
   // with exit code 2 and a diagnostic quoting the bad value — never
@@ -702,6 +712,40 @@ TEST_F(ToolchainTest, HostileImageLayoutFailsWithDiagnostic) {
         << Flags << Out;
     EXPECT_NE(Out.find("bad image layout"), std::string::npos)
         << Flags << Out;
+  }
+}
+
+TEST_F(ToolchainTest, WrappingProcExtentFailsWithDiagnostic) {
+  // prog.aaxo with its second procedure descriptor claiming offset
+  // 2^64 - 4 and size 8: the sum wraps to 4, inside .text, but the extent
+  // does not. Every reader must reject the module, never lift it.
+  std::ifstream In(Dir + "/prog.aaxo", std::ios::binary);
+  std::vector<char> Bytes((std::istreambuf_iterator<char>(In)),
+                          std::istreambuf_iterator<char>());
+  In.close();
+  // The object ends with the descriptor table: a u32 count, then per
+  // descriptor a u32 symbol index, u64 offset, u64 size and u8 flag.
+  const size_t DescBytes = 4 + 8 + 8 + 1;
+  ASSERT_GE(Bytes.size(), 4 + 2 * DescBytes);
+  uint32_t Count = 0;
+  std::memcpy(&Count, Bytes.data() + Bytes.size() - 4 - 2 * DescBytes, 4);
+  ASSERT_EQ(Count, 2u) << "prog.aaxo should describe two procedures";
+  const size_t Second = Bytes.size() - DescBytes;
+  const uint64_t Offset = ~0ull - 3, Size = 8;
+  std::memcpy(Bytes.data() + Second + 4, &Offset, 8);
+  std::memcpy(Bytes.data() + Second + 12, &Size, 8);
+  std::ofstream(Dir + "/prog.aaxo", std::ios::binary | std::ios::trunc)
+      .write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+
+  std::string Out;
+  for (const std::string &Cmd :
+       {"/omlink -O full -o " + Dir + "/w.aaxe ",
+        "/omlink --standard -o " + Dir + "/w.aaxe ",
+        std::string("/aaxlint ")}) {
+    EXPECT_EQ(runCommandErr(toolsDir() + Cmd + allObjects(), Out), 1)
+        << Cmd << Out;
+    EXPECT_NE(Out.find("extends past .text"), std::string::npos)
+        << Cmd << Out;
   }
 }
 

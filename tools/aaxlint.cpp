@@ -36,10 +36,8 @@
 #include "om/Analysis.h"
 #include "om/Om.h"
 #include "om/OmImpl.h"
-#include "support/Diagnostics.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
-#include "support/ThreadPool.h"
 
 #include <cerrno>
 #include <cstdio>
@@ -134,17 +132,14 @@ int main(int argc, char **argv) {
     Objs.push_back(O.take());
   }
 
-  ThreadPool Pool(Jobs);
   om::OmOptions Opts;
   Opts.Jobs = Jobs;
-  Result<om::SymbolicProgram> SP = om::liftProgram(Objs, Opts, Pool);
-  if (!SP) {
-    std::fprintf(stderr, "aaxlint: %s\n", SP.message().c_str());
+  Result<om::LintRun> L = om::lintObjects(Objs, Opts);
+  if (!L) {
+    std::fprintf(stderr, "aaxlint: %s\n", L.message().c_str());
     return 1;
   }
-  om::analysis::ProgramAnalysis PA = om::analysis::analyzeProgram(*SP, Pool);
-  std::vector<om::analysis::LintFinding> Findings =
-      om::analysis::lintProgram(*SP, PA, Pool);
+  const std::vector<om::analysis::LintFinding> &Findings = L->Findings;
   if (Json)
     std::fputs(om::analysis::renderLintJson(Findings).c_str(), stdout);
   else if (!Findings.empty())
@@ -162,6 +157,6 @@ int main(int argc, char **argv) {
     }
   }
   std::fprintf(stderr, "aaxlint: %zu finding(s) in %zu procedure(s)\n",
-               Findings.size(), SP->Procs.size());
+               Findings.size(), L->Procs);
   return (Werror && !Findings.empty()) ? 1 : 0;
 }

@@ -52,10 +52,8 @@
 #include "om/Om.h"
 #include "om/OmImpl.h"
 #include "om/Verify.h"
-#include "support/Diagnostics.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
-#include "support/ThreadPool.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -115,6 +113,9 @@ static std::string statsJson(const om::OmStats &S, om::OmLevel Level) {
   U("analysis_pv_loads_deleted", S.AnalysisPvLoadsDeleted);
   U("analysis_dead_loads_deleted", S.AnalysisDeadLoadsDeleted);
   U("sched_mem_deps_freed", S.SchedMemDepsFreed);
+  U("analysis_runs", S.AnalysisRuns);
+  U("analysis_rounds_evaluated", S.AnalysisRoundsEvaluated);
+  U("analysis_rounds_reused", S.AnalysisRoundsReused);
   J += "  \"stage_seconds\": {\n";
   auto Sec = [&](const char *Key, double V, bool Comma = true) {
     J += formatString("    \"%s\": %.6f%s\n", Key, V, Comma ? "," : "");
@@ -286,24 +287,19 @@ int main(int argc, char **argv) {
   }
 
   if (Lint) {
-    // Report-only: lift the inputs into the symbolic form, run the
-    // dataflow, and print the lint findings. No image is produced.
-    ThreadPool Pool(Opts.Jobs);
-    Result<om::SymbolicProgram> SP = om::liftProgram(Objs, Opts, Pool);
-    if (!SP) {
-      std::fprintf(stderr, "omlink: lint: %s\n", SP.message().c_str());
+    // Report-only: lift, analyze and lint the inputs. No image is produced.
+    Result<om::LintRun> L = om::lintObjects(Objs, Opts);
+    if (!L) {
+      std::fprintf(stderr, "omlink: lint: %s\n", L.message().c_str());
       return 1;
     }
-    om::analysis::ProgramAnalysis PA = om::analysis::analyzeProgram(*SP, Pool);
-    std::vector<om::analysis::LintFinding> Findings =
-        om::analysis::lintProgram(*SP, PA, Pool);
-    if (!Findings.empty())
+    if (!L->Findings.empty())
       std::fputs(
-          om::analysis::renderLintText(Findings, LintExplain).c_str(),
+          om::analysis::renderLintText(L->Findings, LintExplain).c_str(),
           stdout);
     std::fprintf(stderr, "omlink: lint: %zu finding(s) in %zu procedure(s)\n",
-                 Findings.size(), SP->Procs.size());
-    return (LintWerror && !Findings.empty()) ? 1 : 0;
+                 L->Findings.size(), L->Procs);
+    return (LintWerror && !L->Findings.empty()) ? 1 : 0;
   }
 
   obj::Image Img;
@@ -378,11 +374,16 @@ int main(int argc, char **argv) {
       if (Opts.Analysis)
         std::fprintf(stderr,
                      "  analysis       %llu GP pair(s), %llu PV load(s), "
-                     "%llu dead load(s) deleted; %llu sched dep(s) freed\n",
+                     "%llu dead load(s) deleted; %llu sched dep(s) freed\n"
+                     "  dataflow       %llu run(s), %llu round(s) "
+                     "evaluated, %llu reused\n",
                      (unsigned long long)S.AnalysisGpPairsDeleted,
                      (unsigned long long)S.AnalysisPvLoadsDeleted,
                      (unsigned long long)S.AnalysisDeadLoadsDeleted,
-                     (unsigned long long)S.SchedMemDepsFreed);
+                     (unsigned long long)S.SchedMemDepsFreed,
+                     (unsigned long long)S.AnalysisRuns,
+                     (unsigned long long)S.AnalysisRoundsEvaluated,
+                     (unsigned long long)S.AnalysisRoundsReused);
       if (Opts.HotColdLayout)
         std::fprintf(stderr,
                      "  layout         %llu proc(s) reordered, %llu blocks "
