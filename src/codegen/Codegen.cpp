@@ -184,41 +184,25 @@ Error UnitBuilder::generateProcs() {
 }
 
 void UnitBuilder::scheduleProc(MProc &Proc) const {
+  // Labels name positions, not instructions: every labelled instruction
+  // starts a region, and its labels stay at the region head.
   std::vector<MInst> &Insts = Proc.Insts;
+  std::vector<Inst> Code;
+  Code.reserve(Insts.size());
+  std::vector<bool> Labelled(Insts.size(), false);
+  std::vector<std::vector<uint32_t>> LabelsAt(Insts.size());
+  for (size_t I = 0; I < Insts.size(); ++I) {
+    Code.push_back(Insts[I].I);
+    Labelled[I] = !Insts[I].LabelsHere.empty();
+    LabelsAt[I] = std::move(Insts[I].LabelsHere);
+  }
+  std::vector<size_t> Order = sched::scheduleWithBarriers(Code, Labelled);
   std::vector<MInst> NewInsts;
   NewInsts.reserve(Insts.size());
-  size_t RegionStart = 0;
-
-  auto flushRegion = [&](size_t End) {
-    if (End == RegionStart)
-      return;
-    std::vector<Inst> Region;
-    Region.reserve(End - RegionStart);
-    for (size_t I = RegionStart; I < End; ++I)
-      Region.push_back(Insts[I].I);
-    std::vector<size_t> Perm = sched::scheduleRegion(Region);
-    // Labels bound to the region head must stay at the head.
-    std::vector<uint32_t> HeadLabels =
-        std::move(Insts[RegionStart].LabelsHere);
-    Insts[RegionStart].LabelsHere.clear();
-    size_t Base = NewInsts.size();
-    for (size_t Local : Perm)
-      NewInsts.push_back(std::move(Insts[RegionStart + Local]));
-    NewInsts[Base].LabelsHere.insert(NewInsts[Base].LabelsHere.begin(),
-                                     HeadLabels.begin(), HeadLabels.end());
-    RegionStart = End;
-  };
-
-  for (size_t I = 0; I < Insts.size(); ++I) {
-    if (!Insts[I].LabelsHere.empty() && I != RegionStart)
-      flushRegion(I);
-    if (sched::isSchedulingBarrier(Insts[I].I)) {
-      flushRegion(I);
-      NewInsts.push_back(std::move(Insts[I]));
-      RegionStart = I + 1;
-    }
+  for (size_t I = 0; I < Order.size(); ++I) {
+    NewInsts.push_back(std::move(Insts[Order[I]]));
+    NewInsts.back().LabelsHere = std::move(LabelsAt[I]);
   }
-  flushRegion(Insts.size());
   Insts = std::move(NewInsts);
 }
 

@@ -207,9 +207,11 @@ Error ObjectFile::verify() const {
                        static_cast<unsigned long long>(R.Offset),
                        R.LiteralId));
 
+  std::vector<bool> HasDesc(Symbols.size(), false);
   for (const ProcDesc &P : Procs) {
     if (P.SymbolIndex >= Symbols.size())
       return Error::failure(ModuleName + ": proc desc symbol out of range");
+    HasDesc[P.SymbolIndex] = true;
     // Compared without forming TextOffset + TextSize, which can wrap.
     if (P.TextOffset > Text.size() || P.TextSize > Text.size() - P.TextOffset)
       return Error::failure(ModuleName + ": proc " +
@@ -218,6 +220,20 @@ Error ObjectFile::verify() const {
     if (P.TextOffset % 4 != 0 || P.TextSize % 4 != 0)
       return Error::failure(ModuleName + ": proc " +
                             Symbols[P.SymbolIndex].Name + " misaligned");
+  }
+
+  for (uint32_t Idx = 0; Idx < Symbols.size(); ++Idx) {
+    const Symbol &S = Symbols[Idx];
+    if (!S.IsDefined)
+      continue;
+    if (S.IsProcedure && !HasDesc[Idx])
+      return Error::failure(ModuleName + ": procedure " + S.Name +
+                            " has no procedure descriptor");
+    // Compared without forming Offset + Size, which can wrap.
+    if (!S.IsProcedure && S.Section == SectionKind::Data &&
+        (S.Offset > Data.size() || S.Size > Data.size() - S.Offset))
+      return Error::failure(ModuleName + ": data symbol " + S.Name +
+                            " extends past .data");
   }
   return Error::success();
 }

@@ -1498,11 +1498,12 @@ uint64_t ProgramAnalysis::liveAfter(const SymbolicProgram &SP,
   return L;
 }
 
-std::vector<uint8_t> analysis::memBaseRegions(const SymbolicProgram &SP,
-                                              const ProgramAnalysis &PA,
-                                              uint32_t ProcIdx) {
+std::vector<sched::MemRegion>
+analysis::memBaseRegions(const SymbolicProgram &SP, const ProgramAnalysis &PA,
+                         uint32_t ProcIdx) {
   const SymProc &Proc = SP.Procs[ProcIdx];
-  std::vector<uint8_t> Regions(Proc.Insts.size(), 0);
+  std::vector<sched::MemRegion> Regions(Proc.Insts.size(),
+                                        sched::MemRegion::Unknown);
   const Cfg &C = PA.Cfgs[ProcIdx];
   TransferCtx Ctx{SP,
                   PA.Summaries,
@@ -1519,9 +1520,9 @@ std::vector<uint8_t> analysis::memBaseRegions(const SymbolicProgram &SP,
           (isLoad(SI.I.Op) || isStore(SI.I.Op))) {
         const AbsVal &Base = S.R[intUnit(SI.I.Rb)];
         if (Base.Kind == ValueKind::Stack)
-          Regions[I] = 2;
+          Regions[I] = sched::MemRegion::Stack;
         else if (Base.isGlobalDerived())
-          Regions[I] = 1;
+          Regions[I] = sched::MemRegion::Global;
       }
       applyInst(Ctx, Proc, SI, S);
     }

@@ -44,6 +44,7 @@
 #define OM64_OM_ANALYSIS_H
 
 #include "om/SymbolicProgram.h"
+#include "sched/ListScheduler.h"
 #include "support/ThreadPool.h"
 
 #include <array>
@@ -443,13 +444,13 @@ ProgramAnalysis analyzeProgram(const SymbolicProgram &SP, ThreadPool &Pool,
 ProgramAnalysis analyzeProgram(const SymbolicProgram &SP, ThreadPool &Pool);
 
 /// Classifies every instruction's memory base register for the
-/// rescheduler's alias disambiguation: 0 = unknown, 1 = global (a
-/// text/data-segment pointer: GP, a GAT-loaded address, or arithmetic on
-/// one), 2 = stack (SP-derived). Non-memory instructions get 0. The codes
-/// match sched::MemRegion by value. Pure per procedure.
-std::vector<uint8_t> memBaseRegions(const SymbolicProgram &SP,
-                                    const ProgramAnalysis &PA,
-                                    uint32_t ProcIdx);
+/// rescheduler's alias disambiguation: Global (a text/data-segment
+/// pointer: GP, a GAT-loaded address, or arithmetic on one), Stack
+/// (SP-derived) or Unknown. Non-memory instructions get Unknown. Pure per
+/// procedure.
+std::vector<sched::MemRegion> memBaseRegions(const SymbolicProgram &SP,
+                                             const ProgramAnalysis &PA,
+                                             uint32_t ProcIdx);
 
 //===----------------------------------------------------------------------===//
 // Lint

@@ -26,7 +26,6 @@
 #include "support/Format.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <map>
 #include <numeric>
@@ -692,13 +691,12 @@ void Emitter::deleteNullified() {
 void Emitter::reschedule() {
   // With the dataflow live, classify every memory base register (GAT/data
   // vs stack) against the post-deletion program; the scheduler then skips
-  // ordering edges between proven-disjoint accesses. Without it the
-  // classification pointer stays null and the scheduler's default path is
-  // byte-identical to the historical conservative one.
+  // ordering edges between proven-disjoint accesses. Without it every
+  // access is Unknown, the historical conservative ordering.
   const analysis::ProgramAnalysis *PA =
       Opts.Analysis ? &Ctx.program() : nullptr;
 
-  // scheduleRegion is a pure function of the region's instructions, so
+  // Scheduling is a pure function of each procedure's instructions, so
   // procedures reschedule independently; freed-pair counts reduce in
   // procedure order.
   std::vector<uint64_t> FreedInProc(SP.Procs.size(), 0);
@@ -707,53 +705,31 @@ void Emitter::reschedule() {
     std::vector<SymInst> &Insts = Proc.Insts;
     if (Insts.empty())
       return;
-    std::vector<uint8_t> BaseOf;
+    std::vector<sched::MemRegion> Bases;
     if (PA)
-      BaseOf = analysis::memBaseRegions(SP, *PA, static_cast<uint32_t>(P));
+      Bases = analysis::memBaseRegions(SP, *PA, static_cast<uint32_t>(P));
 
-    // Region boundaries: branch targets and a pinned prologue pair.
-    std::vector<bool> IsBoundary(Insts.size(), false);
-    for (const SymInst &SI : Insts)
+    // Regions start at branch targets and past the prologue GP pair, which
+    // its own region keeps in order (the LDA reads the LDAH's GP).
+    std::vector<Inst> Code;
+    Code.reserve(Insts.size());
+    std::vector<bool> RegionStarts(Insts.size(), false);
+    for (const SymInst &SI : Insts) {
+      Code.push_back(SI.I);
       if (SI.Kind == SKind::LocalBranch &&
           static_cast<size_t>(SI.TargetIdx) < Insts.size())
-        IsBoundary[SI.TargetIdx] = true;
-    size_t Start = Proc.postPrologueIndex();
-
-    std::vector<SymInst> NewInsts(Insts.begin(),
-                                  Insts.begin() +
-                                      static_cast<ptrdiff_t>(Start));
-    size_t RegionStart = Start;
-    auto flush = [&](size_t End) {
-      if (End == RegionStart)
-        return;
-      std::vector<Inst> Region;
-      Region.reserve(End - RegionStart);
-      std::vector<sched::MemRegion> Bases;
-      if (PA)
-        Bases.reserve(End - RegionStart);
-      for (size_t I = RegionStart; I < End; ++I) {
-        Region.push_back(Insts[I].I);
-        if (PA)
-          Bases.push_back(static_cast<sched::MemRegion>(BaseOf[I]));
-      }
-      sched::SchedStats SStats;
-      for (size_t Local : sched::scheduleRegion(
-               Region, PA ? &Bases : nullptr, PA ? &SStats : nullptr))
-        NewInsts.push_back(Insts[RegionStart + Local]);
-      FreedInProc[P] += SStats.MemDepPairsFreed;
-      RegionStart = End;
-    };
-    for (size_t Idx = Start; Idx < Insts.size(); ++Idx) {
-      if (IsBoundary[Idx] && Idx != RegionStart)
-        flush(Idx);
-      if (sched::isSchedulingBarrier(Insts[Idx].I)) {
-        flush(Idx);
-        NewInsts.push_back(Insts[Idx]);
-        RegionStart = Idx + 1;
-      }
+        RegionStarts[SI.TargetIdx] = true;
     }
-    flush(Insts.size());
-    assert(NewInsts.size() == Insts.size() && "rescheduling lost code");
+    if (size_t Body = Proc.postPrologueIndex(); Body < Insts.size())
+      RegionStarts[Body] = true;
+
+    sched::SchedStats SStats;
+    std::vector<SymInst> NewInsts;
+    NewInsts.reserve(Insts.size());
+    for (size_t From :
+         sched::scheduleWithBarriers(Code, RegionStarts, Bases, &SStats))
+      NewInsts.push_back(std::move(Insts[From]));
+    FreedInProc[P] = SStats.MemDepPairsFreed;
     Insts = std::move(NewInsts);
   });
   for (uint64_t Count : FreedInProc)

@@ -35,9 +35,8 @@ struct DepGraph {
   /// Height[i]: critical-path length from i to any leaf (priority).
   std::vector<unsigned> Height;
 
-  explicit DepGraph(const std::vector<Inst> &Region,
-                    const std::vector<MemRegion> *Bases = nullptr,
-                    SchedStats *Stats = nullptr);
+  DepGraph(std::span<const Inst> Region, std::span<const MemRegion> Bases,
+           SchedStats *Stats);
 };
 
 /// True when the two classified bases provably never alias: one points
@@ -53,8 +52,8 @@ void addEdge(DepGraph &G, size_t From, size_t To) {
   G.Preds[To].push_back(From);
 }
 
-DepGraph::DepGraph(const std::vector<Inst> &Region,
-                   const std::vector<MemRegion> *Bases, SchedStats *Stats) {
+DepGraph::DepGraph(std::span<const Inst> Region,
+                   std::span<const MemRegion> Bases, SchedStats *Stats) {
   size_t N = Region.size();
   Succs.resize(N);
   Preds.resize(N);
@@ -69,17 +68,11 @@ DepGraph::DepGraph(const std::vector<Inst> &Region,
   std::vector<int> LastWriter(NumRegUnits, -1);
   std::vector<std::vector<size_t>> ReadersSince(NumRegUnits);
 
-  // Memory dependences. Without alias info (Bases == nullptr), stores
-  // order against every other memory access and loads reorder freely among
-  // themselves — the chain through LastStore/LoadsSinceStore encodes the
-  // full ordering transitively. With base classification, a disjoint pair
-  // carries no edge, which breaks that transitivity; the classified path
-  // therefore orders pairwise against every prior memory operation
-  // (redundant transitive edges change neither the feasible orders nor the
-  // greedy schedule's choices). Regions are basic-block-sized, so the
-  // pairwise walk stays cheap.
-  int LastStore = -1;
-  std::vector<size_t> LoadsSinceStore;
+  // Memory dependences: each access orders pairwise against every prior
+  // access unless both are loads or their base classes are disjoint.
+  // Edges a chain through the last store would imply transitively change
+  // neither the feasible orders nor the greedy schedule's choices, and
+  // regions are basic-block-sized, so the pairwise walk stays cheap.
   std::vector<size_t> PriorMemOps;
 
   for (size_t I = 0; I < N; ++I) {
@@ -105,33 +98,20 @@ DepGraph::DepGraph(const std::vector<Inst> &Region,
       ReadersSince[Written].clear();
     }
 
-    if (Bases) {
-      if (isStore(In.Op) || isLoad(In.Op)) {
-        bool IsStoreI = isStore(In.Op);
-        for (size_t J : PriorMemOps) {
-          if (!IsStoreI && !isStore(Region[J].Op))
-            continue; // load/load pairs never need ordering
-          if (disjointRegions((*Bases)[J], (*Bases)[I])) {
-            if (Stats)
-              ++Stats->MemDepPairsFreed;
-            continue;
-          }
-          addEdge(*this, J, I);
-        }
-        PriorMemOps.push_back(I);
+    if (!isStore(In.Op) && !isLoad(In.Op))
+      continue;
+    bool IsStoreI = isStore(In.Op);
+    for (size_t J : PriorMemOps) {
+      if (!IsStoreI && !isStore(Region[J].Op))
+        continue; // load/load pairs never need ordering
+      if (!Bases.empty() && disjointRegions(Bases[J], Bases[I])) {
+        if (Stats)
+          ++Stats->MemDepPairsFreed;
+        continue;
       }
-    } else if (isStore(In.Op)) {
-      if (LastStore >= 0)
-        addEdge(*this, static_cast<size_t>(LastStore), I);
-      for (size_t L : LoadsSinceStore)
-        addEdge(*this, L, I);
-      LastStore = static_cast<int>(I);
-      LoadsSinceStore.clear();
-    } else if (isLoad(In.Op)) {
-      if (LastStore >= 0)
-        addEdge(*this, static_cast<size_t>(LastStore), I);
-      LoadsSinceStore.push_back(I);
+      addEdge(*this, J, I);
     }
+    PriorMemOps.push_back(I);
   }
 
   // Heights by reverse topological sweep (indices are already topological
@@ -151,19 +131,16 @@ bool isMemoryOp(const Inst &I) {
          C == InstClass::FpLoad || C == InstClass::FpStore;
 }
 
-} // namespace
-
-std::vector<size_t>
-om64::sched::scheduleRegion(const std::vector<Inst> &Region,
-                            const std::vector<MemRegion> *Bases,
-                            SchedStats *Stats) {
-  assert((!Bases || Bases->size() == Region.size()) &&
+/// Schedules \p Region and appends its issue order to \p Order, each index
+/// shifted by \p Offset (the region's position in the caller's sequence).
+void appendSchedule(std::span<const Inst> Region,
+                    std::span<const MemRegion> Bases, SchedStats *Stats,
+                    size_t Offset, std::vector<size_t> &Order) {
+  assert((Bases.empty() || Bases.size() == Region.size()) &&
          "base classification must parallel the region");
   size_t N = Region.size();
-  std::vector<size_t> Order;
-  Order.reserve(N);
   if (N == 0)
-    return Order;
+    return;
 
   DepGraph G(Region, Bases, Stats);
 
@@ -197,7 +174,7 @@ om64::sched::scheduleRegion(const std::vector<Inst> &Region,
       if (Best == N)
         break;
       Issued[Best] = true;
-      Order.push_back(Best);
+      Order.push_back(Offset + Best);
       ++NumIssued;
       --SlotsLeft;
       IssuedThisCycle = true;
@@ -211,24 +188,41 @@ om64::sched::scheduleRegion(const std::vector<Inst> &Region,
     }
     ++Cycle;
   }
+  if (Stats)
+    Stats->Cycles += Cycle;
+}
+
+} // namespace
+
+std::vector<size_t> om64::sched::scheduleRegion(
+    std::span<const Inst> Region, std::span<const MemRegion> Bases,
+    SchedStats *Stats) {
+  std::vector<size_t> Order;
+  Order.reserve(Region.size());
+  appendSchedule(Region, Bases, Stats, 0, Order);
   return Order;
 }
 
-std::vector<size_t>
-om64::sched::scheduleWithBarriers(const std::vector<Inst> &Insts) {
+std::vector<size_t> om64::sched::scheduleWithBarriers(
+    std::span<const Inst> Insts, const std::vector<bool> &RegionStarts,
+    std::span<const MemRegion> Bases, SchedStats *Stats) {
+  assert((RegionStarts.empty() || RegionStarts.size() == Insts.size()) &&
+         "region starts must parallel the instructions");
+  assert((Bases.empty() || Bases.size() == Insts.size()) &&
+         "base classification must parallel the instructions");
   std::vector<size_t> Order;
   Order.reserve(Insts.size());
   size_t RegionStart = 0;
   auto flushRegion = [&](size_t End) {
-    if (End == RegionStart)
-      return;
-    std::vector<Inst> Region(Insts.begin() + RegionStart,
-                             Insts.begin() + End);
-    for (size_t Local : scheduleRegion(Region))
-      Order.push_back(RegionStart + Local);
+    size_t Len = End - RegionStart;
+    appendSchedule(Insts.subspan(RegionStart, Len),
+                   Bases.empty() ? Bases : Bases.subspan(RegionStart, Len),
+                   Stats, RegionStart, Order);
     RegionStart = End;
   };
   for (size_t I = 0; I < Insts.size(); ++I) {
+    if (!RegionStarts.empty() && RegionStarts[I])
+      flushRegion(I);
     if (isSchedulingBarrier(Insts[I])) {
       flushRegion(I);
       Order.push_back(I);
@@ -237,51 +231,4 @@ om64::sched::scheduleWithBarriers(const std::vector<Inst> &Insts) {
   }
   flushRegion(Insts.size());
   return Order;
-}
-
-unsigned om64::sched::estimateRegionCycles(const std::vector<Inst> &Region) {
-  // Re-run the greedy schedule and count cycles consumed.
-  size_t N = Region.size();
-  if (N == 0)
-    return 0;
-  DepGraph G(Region);
-  std::vector<unsigned> PredsLeft(N);
-  for (size_t I = 0; I < N; ++I)
-    PredsLeft[I] = static_cast<unsigned>(G.Preds[I].size());
-  std::vector<unsigned> EarliestCycle(N, 0);
-  std::vector<bool> Issued(N, false);
-  unsigned Cycle = 0;
-  size_t NumIssued = 0;
-  while (NumIssued < N) {
-    unsigned SlotsLeft = 2;
-    bool MemUsed = false;
-    bool Progress = true;
-    while (SlotsLeft > 0 && Progress) {
-      Progress = false;
-      size_t Best = N;
-      for (size_t I = 0; I < N; ++I) {
-        if (Issued[I] || PredsLeft[I] != 0 || EarliestCycle[I] > Cycle)
-          continue;
-        if (MemUsed && isMemoryOp(Region[I]))
-          continue;
-        if (Best == N || G.Height[I] > G.Height[Best])
-          Best = I;
-      }
-      if (Best == N)
-        break;
-      Issued[Best] = true;
-      ++NumIssued;
-      --SlotsLeft;
-      Progress = true;
-      if (isMemoryOp(Region[Best]))
-        MemUsed = true;
-      for (size_t S : G.Succs[Best]) {
-        --PredsLeft[S];
-        EarliestCycle[S] =
-            std::max(EarliestCycle[S], Cycle + G.Latency[Best]);
-      }
-    }
-    ++Cycle;
-  }
-  return Cycle;
 }

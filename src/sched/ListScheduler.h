@@ -10,16 +10,23 @@
 /// optional link-time rescheduler ("a version of the standard AXP/OSF
 /// scheduler", section 5.2).
 ///
-/// The scheduler returns a *permutation of indices* rather than permuted
-/// instructions, so callers can permute their parallel annotation arrays
-/// (relocation notes, label attachments) alongside the code.
+/// scheduleWithBarriers is the one walker from a procedure to its regions.
+/// A region ends at every barrier (which stays in place) and before every
+/// caller-marked region start: codegen marks its labelled instructions,
+/// OM its branch targets and the instruction past the pinned prologue GP
+/// pair. Each region is scheduled in place as a span of the caller's
+/// instructions. The walker returns a *permutation of indices* rather than
+/// permuted instructions, so callers can permute their parallel annotation
+/// arrays (relocation notes, label attachments) alongside the code.
 ///
 /// Modelled machine: dual-issue in-order; at most one memory operation and
-/// one branch per cycle; producer latencies from isa::latencyOf. Without
-/// memory alias information every store orders against every other memory
-/// operation (the paper notes OM's scheduler lacks the compiler's alias
-/// information; so does the compile-time scheduler here, keeping the two
-/// comparable).
+/// one branch per cycle; producer latencies from isa::latencyOf. Memory
+/// ordering has one model: every store orders against every earlier memory
+/// operation and every load against every earlier store, unless the
+/// caller's base classes (MemRegion) prove the pair disjoint. Without
+/// classes every access is Unknown (the paper notes OM's scheduler lacks
+/// the compiler's alias information; so does the compile-time scheduler
+/// here, keeping the two comparable).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +36,7 @@
 #include "isa/Inst.h"
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace om64 {
@@ -46,13 +54,13 @@ bool isSchedulingBarrier(const isa::Inst &I);
 /// Unknown aliases everything.
 enum class MemRegion : uint8_t { Unknown, Global, Stack };
 
-/// Scheduling observability: how much the optional alias information
-/// bought.
+/// Scheduling observability, accumulated over every region scheduled.
 struct SchedStats {
-  /// Ordered pairs of memory operations (at least one a store) that the
-  /// conservative model would have serialized but whose base regions are
-  /// proven disjoint.
+  /// Ordered pairs of memory operations (at least one a store) that would
+  /// be serialized without base classes but whose classes are disjoint.
   uint64_t MemDepPairsFreed = 0;
+  /// Cycles the scheduled regions take in the machine model.
+  uint64_t Cycles = 0;
 };
 
 /// Computes a dependence-preserving issue order for the straight-line
@@ -60,26 +68,27 @@ struct SchedStats {
 /// permutation P such that the scheduled code is Region[P[0]],
 /// Region[P[1]], ... Deterministic: ties break toward original order.
 ///
-/// \p Bases, when non-null, classifies each instruction's memory base
+/// \p Bases, when non-empty, classifies each instruction's memory base
 /// register (parallel to \p Region; entries for non-memory instructions
 /// are ignored): memory-ordering edges between accesses in provably
-/// disjoint regions are skipped, and \p Stats (when non-null) counts the
-/// pairs freed. A null \p Bases reproduces the conservative ordering
-/// byte-identically.
-std::vector<size_t>
-scheduleRegion(const std::vector<isa::Inst> &Region,
-               const std::vector<MemRegion> *Bases = nullptr,
-               SchedStats *Stats = nullptr);
+/// disjoint regions are skipped. Empty \p Bases means every access is
+/// Unknown. \p Stats, when non-null, accumulates the pairs freed and the
+/// region's cycle count.
+std::vector<size_t> scheduleRegion(std::span<const isa::Inst> Region,
+                                   std::span<const MemRegion> Bases = {},
+                                   SchedStats *Stats = nullptr);
 
 /// Schedules a whole instruction sequence, leaving barriers (calls, PAL,
-/// branches, jumps) fixed in place and scheduling each barrier-free
-/// region independently. Returns a permutation of [0, Insts.size()).
+/// branches, jumps) fixed in place and scheduling each region
+/// independently with scheduleRegion. A region also ends before every
+/// index I with RegionStarts[I] set (empty: no marks). \p Bases and
+/// \p Stats are as for scheduleRegion, with \p Bases parallel to \p Insts.
+/// Returns a permutation of [0, Insts.size()).
 std::vector<size_t>
-scheduleWithBarriers(const std::vector<isa::Inst> &Insts);
-
-/// Estimated cycle count of the region in the scheduler's machine model;
-/// exposed for tests and the scheduling-ablation bench.
-unsigned estimateRegionCycles(const std::vector<isa::Inst> &Region);
+scheduleWithBarriers(std::span<const isa::Inst> Insts,
+                     const std::vector<bool> &RegionStarts = {},
+                     std::span<const MemRegion> Bases = {},
+                     SchedStats *Stats = nullptr);
 
 } // namespace sched
 } // namespace om64

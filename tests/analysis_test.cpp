@@ -234,14 +234,15 @@ TEST(AnalysisTest, ValueTrackingAndMemBaseRegions) {
   EXPECT_EQ(E.R[intUnit(T1)].Kind, ValueKind::Uninit);
   EXPECT_EQ(E.R[intUnit(SP)].Kind, ValueKind::Stack);
 
-  std::vector<uint8_t> Regions = memBaseRegions(Prog, PA, 0);
+  using sched::MemRegion;
+  std::vector<MemRegion> Regions = memBaseRegions(Prog, PA, 0);
   ASSERT_EQ(Regions.size(), 6u);
-  EXPECT_EQ(Regions[0], 0u); // LDA is not a memory access
-  EXPECT_EQ(Regions[1], 2u); // stack load
-  EXPECT_EQ(Regions[2], 1u); // global load
-  EXPECT_EQ(Regions[3], 0u); // argument base: unknown
-  EXPECT_EQ(Regions[4], 2u); // stack store
-  EXPECT_EQ(Regions[5], 0u);
+  EXPECT_EQ(Regions[0], MemRegion::Unknown); // LDA is not a memory access
+  EXPECT_EQ(Regions[1], MemRegion::Stack);   // stack load
+  EXPECT_EQ(Regions[2], MemRegion::Global);  // global load
+  EXPECT_EQ(Regions[3], MemRegion::Unknown); // argument base: unknown
+  EXPECT_EQ(Regions[4], MemRegion::Stack);   // stack store
+  EXPECT_EQ(Regions[5], MemRegion::Unknown);
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 using namespace om64;
 using namespace om64::isa;
 using namespace om64::obj;
@@ -114,6 +116,62 @@ TEST(CodegenTest, SchedulingDispersesTheProloguePair) {
     if (R.Kind == RelocKind::GpDisp && R.GpKind == 0)
       FoundDispersedPair = R.PairOffset != 4 || R.Offset != 0;
   EXPECT_TRUE(FoundDispersedPair);
+}
+
+/// Branch offset -> target offset for every local branch of \p O's text
+/// (BSR calls excluded).
+std::map<uint64_t, uint64_t> localBranchTargets(const ObjectFile &O) {
+  std::map<uint64_t, uint64_t> Targets;
+  std::vector<Inst> Text = decodeText(O);
+  for (size_t I = 0; I < Text.size(); ++I)
+    if (classOf(Text[I].Op) == InstClass::Branch && Text[I].Op != Opcode::Bsr)
+      Targets[I * 4] = static_cast<uint64_t>(
+          static_cast<int64_t>(I * 4 + 4) + int64_t{Text[I].Disp} * 4);
+  return Targets;
+}
+
+TEST(CodegenTest, SchedulingKeepsLabelsAtTheirRegionHeads) {
+  // A label names a position: the scheduler may move the instruction that
+  // heads a labelled region, but the label (and every branch to it) stays
+  // at the head. Scheduling permutes within regions only, so every branch
+  // sits at the same offset with the same target as in unscheduled code.
+  const char *Source = R"(
+module t;
+var acc: int;
+var scale: int;
+export func main(): int {
+  var i: int;
+  var j: int;
+  i = 0;
+  while (i < 10) {
+    j = 0;
+    while (j < i) {
+      acc = acc + scale * j + i * 3;
+      j = j + 1;
+    }
+    if (acc > 100) {
+      acc = acc - scale * 7 + i;
+    }
+    i = i + 1;
+  }
+  return acc;
+}
+)";
+  ObjectFile Plain = compileOne(Source, /*Schedule=*/false);
+  ObjectFile Sched = compileOne(Source, /*Schedule=*/true);
+  ASSERT_EQ(Plain.Text.size(), Sched.Text.size());
+  std::map<uint64_t, uint64_t> Targets = localBranchTargets(Plain);
+  ASSERT_FALSE(Targets.empty());
+  EXPECT_EQ(localBranchTargets(Sched), Targets);
+
+  // The check has teeth only if some labelled head actually moved.
+  std::vector<Inst> PlainText = decodeText(Plain);
+  std::vector<Inst> SchedText = decodeText(Sched);
+  bool HeadMoved = false;
+  for (const auto &[From, To] : Targets)
+    HeadMoved |= To / 4 < PlainText.size() &&
+                 !(PlainText[To / 4] == SchedText[To / 4]);
+  EXPECT_TRUE(HeadMoved) << "no branch target's instruction was rescheduled";
 }
 
 TEST(CodegenTest, CallSequenceShape) {

@@ -160,6 +160,39 @@ TEST(ObjectFileTest, RejectsWrappingProcExtent) {
       << Back.message();
 }
 
+/// sampleObject plus a defined .data symbol "demo.table" at \p Offset.
+ObjectFile withDataSymbol(uint64_t Offset, uint64_t Size) {
+  ObjectFile O = sampleObject();
+  Symbol S;
+  S.Name = "demo.table";
+  S.Section = SectionKind::Data;
+  S.Offset = Offset;
+  S.Size = Size;
+  S.IsDefined = true;
+  O.Symbols.push_back(S);
+  return O;
+}
+
+void expectRejected(const ObjectFile &O, const std::string &Diagnostic) {
+  Result<ObjectFile> Back = ObjectFile::deserialize(O.serialize());
+  ASSERT_FALSE(bool(Back)) << Diagnostic;
+  EXPECT_NE(Back.message().find(Diagnostic), std::string::npos)
+      << Back.message();
+}
+
+TEST(ObjectFileTest, RejectsHostileDataSymbols) {
+  // Each would send the lift outside the module: a procedure with no
+  // descriptor, and initialized data read from past .data, directly or
+  // through an Offset + Size that wraps to 4, inside the 8-byte .data.
+  EXPECT_TRUE(bool(ObjectFile::deserialize(withDataSymbol(0, 8).serialize())))
+      << "a symbol ending exactly at the end of .data is in bounds";
+  ObjectFile NoDesc = withDataSymbol(0, 8);
+  NoDesc.Symbols.back().IsProcedure = true;
+  expectRejected(NoDesc, "demo.table has no procedure descriptor");
+  expectRejected(withDataSymbol(8 + 4096, 8), "demo.table extends past .data");
+  expectRejected(withDataSymbol(~0ull - 3, 8), "demo.table extends past .data");
+}
+
 TEST(ObjectFileTest, FindSymbol) {
   ObjectFile O = sampleObject();
   EXPECT_EQ(O.findSymbol("demo.counter"), 1u);

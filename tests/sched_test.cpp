@@ -19,22 +19,25 @@ using namespace om64::sched;
 
 namespace {
 
-/// Generates a random barrier-free instruction region.
-std::vector<Inst> randomRegion(uint64_t Seed, size_t N) {
+/// Generates a random barrier-free instruction region. Memory accesses
+/// use SP as their base, or with \p MixBases SP or GP at random.
+std::vector<Inst> randomRegion(uint64_t Seed, size_t N,
+                               bool MixBases = false) {
   DetRandom Rng(Seed);
   std::vector<Inst> Region;
   auto reg = [&]() { return static_cast<uint8_t>(Rng.nextBelow(8) + T0); };
+  auto base = [&]() { return MixBases && Rng.nextBelow(2) ? GP : SP; };
   for (size_t I = 0; I < N; ++I) {
     switch (Rng.nextBelow(6)) {
     case 0:
       Region.push_back(makeMem(Opcode::Ldq, reg(),
                                static_cast<int32_t>(Rng.nextBelow(64)) * 8,
-                               SP));
+                               base()));
       break;
     case 1:
       Region.push_back(makeMem(Opcode::Stq, reg(),
                                static_cast<int32_t>(Rng.nextBelow(64)) * 8,
-                               SP));
+                               base()));
       break;
     case 2:
       Region.push_back(makeOp(Opcode::Addq, reg(), reg(), reg()));
@@ -58,11 +61,44 @@ std::vector<Inst> randomRegion(uint64_t Seed, size_t N) {
   return Region;
 }
 
-/// True if instruction J must stay after instruction I.
-bool mustFollow(const Inst &A, const Inst &B) {
-  // Memory ordering: stores are ordered with all memory operations.
-  if ((isStore(A.Op) && (isLoad(B.Op) || isStore(B.Op))) ||
-      (isLoad(A.Op) && isStore(B.Op)))
+/// Generates a random instruction sequence in which about one instruction
+/// in \p BarrierOdds is a barrier (call, branch, jump or PAL call).
+std::vector<Inst> randomSequence(uint64_t Seed, size_t N,
+                                 uint64_t BarrierOdds) {
+  std::vector<Inst> Code = randomRegion(Seed, N);
+  DetRandom Rng(Seed * 7919);
+  for (Inst &I : Code) {
+    if (Rng.nextBelow(BarrierOdds) != 0)
+      continue;
+    switch (Rng.nextBelow(4)) {
+    case 0:
+      I = makeJump(Opcode::Jsr, RA, PV);
+      break;
+    case 1:
+      I = makeBranch(Opcode::Br, Zero, 3);
+      break;
+    case 2:
+      I = makeBranch(Opcode::Bne, T0, -2);
+      break;
+    default:
+      I = makePalCount(0);
+      break;
+    }
+  }
+  return Code;
+}
+
+/// True if the memory accesses \p A then \p B must keep their order:
+/// at least one is a store.
+bool memoryOrdered(const Inst &A, const Inst &B) {
+  return (isStore(A.Op) && (isLoad(B.Op) || isStore(B.Op))) ||
+         (isLoad(A.Op) && isStore(B.Op));
+}
+
+/// True if instruction B must stay after instruction A. \p Disjoint says
+/// the caller proved the two accesses' base regions disjoint.
+bool mustFollow(const Inst &A, const Inst &B, bool Disjoint = false) {
+  if (!Disjoint && memoryOrdered(A, B))
     return true;
   unsigned AW = regUnitWritten(A);
   unsigned BW = regUnitWritten(B);
@@ -180,10 +216,17 @@ TEST(SchedulerTest, DispersesPrologueGpPair) {
   EXPECT_NE(PosOf[0] + 1, PosOf[1]);
 }
 
+/// The cycle count scheduleRegion reports for \p Region.
+uint64_t cyclesOf(const std::vector<Inst> &Region) {
+  SchedStats Stats;
+  scheduleRegion(Region, {}, &Stats);
+  return Stats.Cycles;
+}
+
 TEST(SchedulerTest, CycleEstimateImprovesOrMatches) {
   for (uint64_t Seed = 1; Seed < 32; ++Seed) {
     std::vector<Inst> Region = randomRegion(Seed * 31, 20);
-    unsigned Before = estimateRegionCycles(Region);
+    uint64_t Before = cyclesOf(Region);
     std::vector<size_t> Perm = scheduleRegion(Region);
     std::vector<Inst> After;
     After.reserve(Region.size());
@@ -192,10 +235,130 @@ TEST(SchedulerTest, CycleEstimateImprovesOrMatches) {
     // The estimate respects the dual-issue lower bound, is deterministic,
     // and the scheduled order is not substantially worse than the
     // scheduler's own plan (tie-breaking may differ by a cycle or two).
-    EXPECT_GE(Before, (unsigned)(Region.size() + 1) / 2);
-    EXPECT_EQ(estimateRegionCycles(Region), Before);
-    EXPECT_LE(estimateRegionCycles(After), Before + 2);
+    EXPECT_GE(Before, (Region.size() + 1) / 2);
+    EXPECT_EQ(cyclesOf(Region), Before);
+    EXPECT_LE(cyclesOf(After), Before + 2);
   }
 }
+
+/// Region id of every instruction of \p Code as scheduleWithBarriers
+/// should split it: a new region after every barrier (each barrier is a
+/// region of its own) and at every marked start.
+std::vector<size_t> regionIds(const std::vector<Inst> &Code,
+                              const std::vector<bool> &Starts) {
+  std::vector<size_t> Ids(Code.size());
+  size_t Id = 0;
+  for (size_t I = 0; I < Code.size(); ++I) {
+    bool Barrier = isSchedulingBarrier(Code[I]);
+    if (I > 0 && (Barrier || Starts[I] || isSchedulingBarrier(Code[I - 1])))
+      ++Id;
+    Ids[I] = Id;
+  }
+  return Ids;
+}
+
+class WalkerPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(WalkerPropertyTest, NothingCrossesAStartOrABarrier) {
+  uint64_t Seed = GetParam();
+  std::vector<Inst> Code = randomSequence(Seed, 60, 6);
+  DetRandom Rng(Seed * 104729);
+  std::vector<bool> Starts(Code.size());
+  for (size_t I = 0; I < Code.size(); ++I)
+    Starts[I] = Rng.nextBelow(5) == 0;
+
+  std::vector<size_t> Perm = scheduleWithBarriers(Code, Starts);
+  ASSERT_EQ(Perm.size(), Code.size());
+  EXPECT_EQ(std::set<size_t>(Perm.begin(), Perm.end()).size(), Code.size());
+
+  std::vector<size_t> Ids = regionIds(Code, Starts);
+  std::vector<size_t> PosOf(Code.size());
+  for (size_t P = 0; P < Perm.size(); ++P) {
+    PosOf[Perm[P]] = P;
+    EXPECT_EQ(Ids[Perm[P]], Ids[P])
+        << "instruction " << Perm[P] << " moved to position " << P
+        << " across a region boundary (seed " << Seed << ")";
+    if (isSchedulingBarrier(Code[P]))
+      EXPECT_EQ(Perm[P], P) << "barrier moved (seed " << Seed << ")";
+  }
+  for (size_t I = 0; I < Code.size(); ++I)
+    for (size_t J = I + 1; J < Code.size(); ++J)
+      if (mustFollow(Code[I], Code[J]))
+        EXPECT_LT(PosOf[I], PosOf[J])
+            << "dependence " << I << " -> " << J << " violated (seed "
+            << Seed << ")";
+}
+
+TEST_P(WalkerPropertyTest, OnlyDisjointMemoryPairsReorder) {
+  uint64_t Seed = GetParam();
+  std::vector<Inst> Region =
+      randomRegion(Seed * 13, 32, /*MixBases=*/true);
+  DetRandom Rng(Seed * 15485863);
+  std::vector<MemRegion> Bases(Region.size());
+  for (MemRegion &B : Bases)
+    B = static_cast<MemRegion>(Rng.nextBelow(3));
+
+  SchedStats Stats;
+  std::vector<size_t> Perm = scheduleWithBarriers(Region, {}, Bases, &Stats);
+  ASSERT_EQ(Perm.size(), Region.size());
+  EXPECT_EQ(std::set<size_t>(Perm.begin(), Perm.end()).size(),
+            Region.size());
+
+  std::vector<size_t> PosOf(Region.size());
+  for (size_t P = 0; P < Perm.size(); ++P)
+    PosOf[Perm[P]] = P;
+  auto disjoint = [&](size_t I, size_t J) {
+    return (Bases[I] == MemRegion::Global && Bases[J] == MemRegion::Stack) ||
+           (Bases[I] == MemRegion::Stack && Bases[J] == MemRegion::Global);
+  };
+  uint64_t Freed = 0;
+  for (size_t I = 0; I < Region.size(); ++I)
+    for (size_t J = I + 1; J < Region.size(); ++J) {
+      if (memoryOrdered(Region[I], Region[J]) && disjoint(I, J))
+        ++Freed;
+      if (mustFollow(Region[I], Region[J], disjoint(I, J)))
+        EXPECT_LT(PosOf[I], PosOf[J])
+            << "dependence " << I << " -> " << J << " violated (seed "
+            << Seed << ")";
+    }
+  EXPECT_EQ(Stats.MemDepPairsFreed, Freed);
+
+  // All-Unknown classes are the conservative model with no classes.
+  std::vector<MemRegion> Unknown(Region.size(), MemRegion::Unknown);
+  SchedStats None;
+  EXPECT_EQ(scheduleWithBarriers(Region, {}, Unknown, &None),
+            scheduleWithBarriers(Region));
+  EXPECT_EQ(None.MemDepPairsFreed, 0u);
+}
+
+TEST_P(WalkerPropertyTest, CyclesSumOverRegions) {
+  uint64_t Seed = GetParam();
+  std::vector<Inst> Code = randomSequence(Seed * 3, 80, 8);
+  DetRandom Rng(Seed * 32452843);
+  std::vector<bool> Starts(Code.size());
+  for (size_t I = 0; I < Code.size(); ++I)
+    Starts[I] = Rng.nextBelow(7) == 0;
+
+  SchedStats Stats;
+  scheduleWithBarriers(Code, Starts, {}, &Stats);
+
+  // Barriers are not scheduled and take no cycles of their own.
+  std::vector<size_t> Ids = regionIds(Code, Starts);
+  uint64_t Sum = 0;
+  std::vector<Inst> Region;
+  for (size_t I = 0; I <= Code.size(); ++I) {
+    if (I == Code.size() || (I > 0 && Ids[I] != Ids[I - 1])) {
+      Sum += cyclesOf(Region);
+      Region.clear();
+    }
+    if (I < Code.size() && !isSchedulingBarrier(Code[I]))
+      Region.push_back(Code[I]);
+  }
+  EXPECT_GT(Sum, 0u);
+  EXPECT_EQ(Stats.Cycles, Sum);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSequences, WalkerPropertyTest,
+                         ::testing::Range<uint64_t>(1, 33));
 
 } // namespace

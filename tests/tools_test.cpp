@@ -61,6 +61,63 @@ int runCommandErr(const std::string &Cmd, std::string &Output) {
   return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
 }
 
+std::vector<char> readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(In)),
+                           std::istreambuf_iterator<char>());
+}
+
+void writeFile(const std::string &Path, const std::vector<char> &Bytes) {
+  std::ofstream(Path, std::ios::binary | std::ios::trunc)
+      .write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+}
+
+/// Where one symbol record of a serialized object lies: the byte offsets
+/// of its fields.
+struct SymbolRecord {
+  std::string Name;
+  size_t Section = 0, Offset = 0, Size = 0, IsProcedure = 0, IsDefined = 0;
+};
+
+/// Walks a serialized object (magic, version, module name, .text, .data,
+/// bss size, GAT) to its symbol table. Sets \p DataSize to the length of
+/// .data.
+std::vector<SymbolRecord> symbolRecords(const std::vector<char> &Bytes,
+                                        uint64_t &DataSize) {
+  size_t At = 8;
+  auto u32 = [&]() {
+    uint32_t V = 0;
+    std::memcpy(&V, Bytes.data() + At, 4);
+    At += 4;
+    return V;
+  };
+  auto u64 = [&]() {
+    uint64_t V = 0;
+    std::memcpy(&V, Bytes.data() + At, 8);
+    At += 8;
+    return V;
+  };
+  At += u32();                 // module name
+  At += u64();                 // .text
+  DataSize = u64();
+  At += DataSize;              // .data
+  At += 8;                     // bss size
+  At += size_t(u32()) * 12;    // GAT: u32 symbol index, i64 addend
+  std::vector<SymbolRecord> Records(u32());
+  for (SymbolRecord &R : Records) {
+    uint32_t Len = u32();
+    R.Name.assign(Bytes.data() + At, Len);
+    At += Len;
+    R.Section = At;
+    R.Offset = At + 1;
+    R.Size = At + 9;
+    R.IsProcedure = At + 17;
+    R.IsDefined = At + 19;
+    At += 20;
+  }
+  return Records;
+}
+
 class ToolchainTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -746,6 +803,63 @@ TEST_F(ToolchainTest, WrappingProcExtentFailsWithDiagnostic) {
         << Cmd << Out;
     EXPECT_NE(Out.find("extends past .text"), std::string::npos)
         << Cmd << Out;
+  }
+}
+
+TEST_F(ToolchainTest, HostileDataSymbolsFailWithDiagnostic) {
+  // One defined .data symbol of a generated module, edited three ways:
+  // marked a procedure with no descriptor, placed 4 KiB past .data, and
+  // given an extent whose end wraps past 2^64 back to 4. Every reader must
+  // reject the module with a diagnostic and exit 1, never lift it.
+  std::string Out;
+  const std::string Gen = Dir + "/gen", Bad = Dir + "/bad";
+  ASSERT_EQ(runCommand("mkdir -p " + Gen + " " + Bad, Out), 0);
+  ASSERT_EQ(runCommand(toolsDir() + "/megagen --modules 2 --procs 4 "
+                                    "--insts 2000 -o " + Gen,
+                       Out),
+            0)
+      << Out;
+  ASSERT_EQ(runCommand("cp " + Gen + "/mg0000.aaxo " + Bad, Out), 0);
+  const std::vector<char> Clean = readFile(Gen + "/mg0001.aaxo");
+  uint64_t DataSize = 0;
+  const SymbolRecord *Target = nullptr;
+  std::vector<SymbolRecord> Records = symbolRecords(Clean, DataSize);
+  for (const SymbolRecord &R : Records)
+    if (!Target && Clean[R.Section] == 2 /* .data */ &&
+        !Clean[R.IsProcedure] && Clean[R.IsDefined])
+      Target = &R;
+  ASSERT_NE(Target, nullptr) << "mg0001.aaxo defines no .data symbol";
+
+  struct Edit {
+    uint64_t Offset, Size;
+    bool IsProcedure;
+    std::string Diagnostic;
+  };
+  uint64_t Offset = 0, Size = 0;
+  std::memcpy(&Offset, Clean.data() + Target->Offset, 8);
+  std::memcpy(&Size, Clean.data() + Target->Size, 8);
+  for (const Edit &E :
+       {Edit{Offset, Size, true, "has no procedure descriptor"},
+        Edit{DataSize + 4096, Size, false, "extends past .data"},
+        Edit{~0ull - 3, 8, false, "extends past .data"}}) {
+    std::vector<char> Bytes = Clean;
+    std::memcpy(Bytes.data() + Target->Offset, &E.Offset, 8);
+    std::memcpy(Bytes.data() + Target->Size, &E.Size, 8);
+    Bytes[Target->IsProcedure] = E.IsProcedure;
+    writeFile(Bad + "/mg0001.aaxo", Bytes);
+    for (const std::string &Cmd :
+         {"/omlink -O full --sched -o " + Dir + "/h.aaxe ",
+          "/omlink --standard -o " + Dir + "/h.aaxe ",
+          std::string("/aaxlint ")}) {
+      EXPECT_EQ(runCommandErr(toolsDir() + Cmd + Bad + "/mg0000.aaxo " +
+                                  Bad + "/mg0001.aaxo",
+                              Out),
+                1)
+          << Cmd << Out;
+      EXPECT_NE(Out.find(Target->Name + " " + E.Diagnostic),
+                std::string::npos)
+          << Cmd << Out;
+    }
   }
 }
 
