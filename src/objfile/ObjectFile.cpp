@@ -174,7 +174,6 @@ Error ObjectFile::verify() const {
                             formatString("%u", E.SymbolIndex) +
                             " out of range");
 
-  std::set<uint32_t> LiteralIds;
   for (const Reloc &R : Relocs) {
     uint64_t SectionSize = R.Section == SectionKind::Text ? Text.size()
                            : R.Section == SectionKind::Data ? Data.size()
@@ -185,29 +184,25 @@ Error ObjectFile::verify() const {
                        ModuleName.c_str(), relocKindName(R.Kind),
                        static_cast<unsigned long long>(R.Offset),
                        sectionName(R.Section)));
-    if (R.Kind == RelocKind::Literal) {
-      if (R.GatIndex >= Gat.size())
-        return Error::failure(ModuleName + ": literal reloc GAT index " +
-                              formatString("%u", R.GatIndex) +
-                              " out of range");
-      LiteralIds.insert(R.LiteralId);
-    }
+    // The lift and the linker index instructions by these (a GPDISP's two).
+    uint64_t Pair = R.Kind == RelocKind::GpDisp ? R.PairOffset : 0;
+    if (R.Kind != RelocKind::RefQuad &&
+        (R.Section != SectionKind::Text || R.Offset % 4 != 0 ||
+         Pair >= Text.size() - R.Offset || Pair % 4 != 0))
+      return Error::failure(formatString(
+          "%s: reloc %s at offset %llu is not a 4-aligned .text instruction",
+          ModuleName.c_str(), relocKindName(R.Kind),
+          static_cast<unsigned long long>(R.Offset)));
+    if (R.Kind == RelocKind::Literal && R.GatIndex >= Gat.size())
+      return Error::failure(ModuleName + ": literal reloc GAT index " +
+                            formatString("%u", R.GatIndex) +
+                            " out of range");
     if (R.Kind == RelocKind::RefQuad && R.SymbolIndex >= Symbols.size())
       return Error::failure(ModuleName + ": refquad symbol out of range");
   }
-  for (const Reloc &R : Relocs)
-    if ((R.Kind == RelocKind::LituseBase ||
-         R.Kind == RelocKind::LituseJsr ||
-         R.Kind == RelocKind::LituseAddr ||
-         R.Kind == RelocKind::LituseDeref) &&
-        !LiteralIds.count(R.LiteralId))
-      return Error::failure(
-          formatString("%s: %s at offset %llu has no matching literal id %u",
-                       ModuleName.c_str(), relocKindName(R.Kind),
-                       static_cast<unsigned long long>(R.Offset),
-                       R.LiteralId));
 
   std::vector<bool> HasDesc(Symbols.size(), false);
+  std::vector<uint32_t> ProcAt(Text.size() / 4, ~0u); // ~0u: no procedure
   for (const ProcDesc &P : Procs) {
     if (P.SymbolIndex >= Symbols.size())
       return Error::failure(ModuleName + ": proc desc symbol out of range");
@@ -220,6 +215,13 @@ Error ObjectFile::verify() const {
     if (P.TextOffset % 4 != 0 || P.TextSize % 4 != 0)
       return Error::failure(ModuleName + ": proc " +
                             Symbols[P.SymbolIndex].Name + " misaligned");
+    for (uint64_t I = P.TextOffset / 4; I < (P.TextOffset + P.TextSize) / 4;
+         ++I) {
+      if (ProcAt[I] != ~0u)
+        return Error::failure(ModuleName + ": procs overlap at +" +
+                              std::to_string(I * 4));
+      ProcAt[I] = static_cast<uint32_t>(&P - Procs.data());
+    }
   }
 
   for (uint32_t Idx = 0; Idx < Symbols.size(); ++Idx) {
@@ -235,5 +237,21 @@ Error ObjectFile::verify() const {
       return Error::failure(ModuleName + ": data symbol " + S.Name +
                             " extends past .data");
   }
+
+  // The lift maps literal ids per procedure: a lituse's literal is there.
+  std::set<std::pair<uint32_t, uint32_t>> Literals;
+  for (const Reloc &R : Relocs)
+    if (R.Kind == RelocKind::Literal)
+      Literals.insert({ProcAt[R.Offset / 4], R.LiteralId});
+  for (const Reloc &R : Relocs)
+    if ((R.Kind == RelocKind::LituseBase ||
+         R.Kind == RelocKind::LituseJsr ||
+         R.Kind == RelocKind::LituseAddr ||
+         R.Kind == RelocKind::LituseDeref) &&
+        !Literals.count({ProcAt[R.Offset / 4], R.LiteralId}))
+      return Error::failure(formatString(
+          "%s: %s at offset %llu has no literal id %u in its procedure",
+          ModuleName.c_str(), relocKindName(R.Kind),
+          static_cast<unsigned long long>(R.Offset), R.LiteralId));
   return Error::success();
 }

@@ -26,17 +26,22 @@ bool om64::sched::isSchedulingBarrier(const Inst &I) {
 
 namespace {
 
-/// Dependence DAG over a barrier-free region.
-struct DepGraph {
-  std::vector<std::vector<size_t>> Succs;
-  std::vector<std::vector<size_t>> Preds;
-  /// Latency[i]: cycles before a successor of i may issue.
-  std::vector<unsigned> Latency;
-  /// Height[i]: critical-path length from i to any leaf (priority).
-  std::vector<unsigned> Height;
-
-  DepGraph(std::span<const Inst> Region, std::span<const MemRegion> Bases,
-           SchedStats *Stats);
+/// Every buffer a region's schedule needs, reused for each region of a
+/// walk: once grown to the largest region, a region allocates nothing.
+struct Scratch {
+  /// Dependence edges (From, To) as found, then counting-sorted by From
+  /// into CSR: I's successors are Succs[SuccBegin[I] .. SuccBegin[I+1]).
+  std::vector<std::pair<size_t, size_t>> Edges;
+  std::vector<size_t> SuccBegin, Succs;
+  /// Per instruction: unissued predecessors, cycles before a successor may
+  /// issue, critical path to a leaf (priority), and first issue cycle.
+  std::vector<unsigned> PredsLeft, Latency, Height, EarliestCycle;
+  /// Unissued instructions whose predecessors have all issued.
+  std::vector<size_t> Ready;
+  /// Per register unit, the most recent producer and the readers since.
+  std::vector<int> LastWriter;
+  std::vector<size_t> ReadersSince[NumRegUnits];
+  std::vector<size_t> PriorMemOps;
 };
 
 /// True when the two classified bases provably never alias: one points
@@ -45,83 +50,6 @@ struct DepGraph {
 bool disjointRegions(MemRegion A, MemRegion B) {
   return (A == MemRegion::Global && B == MemRegion::Stack) ||
          (A == MemRegion::Stack && B == MemRegion::Global);
-}
-
-void addEdge(DepGraph &G, size_t From, size_t To) {
-  G.Succs[From].push_back(To);
-  G.Preds[To].push_back(From);
-}
-
-DepGraph::DepGraph(std::span<const Inst> Region,
-                   std::span<const MemRegion> Bases, SchedStats *Stats) {
-  size_t N = Region.size();
-  Succs.resize(N);
-  Preds.resize(N);
-  Latency.resize(N);
-  Height.assign(N, 0);
-
-  for (size_t I = 0; I < N; ++I)
-    Latency[I] = latencyOf(Region[I].Op);
-
-  // Register dependences. LastWriter/LastReaders track, per register unit,
-  // the most recent producer and the readers since then.
-  std::vector<int> LastWriter(NumRegUnits, -1);
-  std::vector<std::vector<size_t>> ReadersSince(NumRegUnits);
-
-  // Memory dependences: each access orders pairwise against every prior
-  // access unless both are loads or their base classes are disjoint.
-  // Edges a chain through the last store would imply transitively change
-  // neither the feasible orders nor the greedy schedule's choices, and
-  // regions are basic-block-sized, so the pairwise walk stays cheap.
-  std::vector<size_t> PriorMemOps;
-
-  for (size_t I = 0; I < N; ++I) {
-    const Inst &In = Region[I];
-    assert(!isSchedulingBarrier(In) && "barrier inside region");
-
-    unsigned Reads[3];
-    unsigned NumReads = regUnitsRead(In, Reads);
-    for (unsigned R = 0; R < NumReads; ++R) {
-      unsigned Unit = Reads[R];
-      if (LastWriter[Unit] >= 0)
-        addEdge(*this, static_cast<size_t>(LastWriter[Unit]), I); // RAW
-      ReadersSince[Unit].push_back(I);
-    }
-    unsigned Written = regUnitWritten(In);
-    if (Written != ~0u) {
-      if (LastWriter[Written] >= 0)
-        addEdge(*this, static_cast<size_t>(LastWriter[Written]), I); // WAW
-      for (size_t Reader : ReadersSince[Written])
-        if (Reader != I)
-          addEdge(*this, Reader, I); // WAR
-      LastWriter[Written] = static_cast<int>(I);
-      ReadersSince[Written].clear();
-    }
-
-    if (!isStore(In.Op) && !isLoad(In.Op))
-      continue;
-    bool IsStoreI = isStore(In.Op);
-    for (size_t J : PriorMemOps) {
-      if (!IsStoreI && !isStore(Region[J].Op))
-        continue; // load/load pairs never need ordering
-      if (!Bases.empty() && disjointRegions(Bases[J], Bases[I])) {
-        if (Stats)
-          ++Stats->MemDepPairsFreed;
-        continue;
-      }
-      addEdge(*this, J, I);
-    }
-    PriorMemOps.push_back(I);
-  }
-
-  // Heights by reverse topological sweep (indices are already topological
-  // because edges always point from lower to higher index).
-  for (size_t I = N; I-- > 0;) {
-    unsigned H = 0;
-    for (size_t S : Succs[I])
-      H = std::max(H, Latency[I] + Height[S]);
-    Height[I] = H;
-  }
 }
 
 /// Issue-slot classification for the dual-issue model.
@@ -135,55 +63,121 @@ bool isMemoryOp(const Inst &I) {
 /// shifted by \p Offset (the region's position in the caller's sequence).
 void appendSchedule(std::span<const Inst> Region,
                     std::span<const MemRegion> Bases, SchedStats *Stats,
-                    size_t Offset, std::vector<size_t> &Order) {
+                    size_t Offset, Scratch &S, std::vector<size_t> &Order) {
   assert((Bases.empty() || Bases.size() == Region.size()) &&
          "base classification must parallel the region");
   size_t N = Region.size();
   if (N == 0)
     return;
+  S.Edges.clear();
+  S.PredsLeft.assign(N, 0);
+  S.Latency.resize(N);
+  S.Ready.clear();
+  S.LastWriter.assign(NumRegUnits, -1);
+  for (std::vector<size_t> &Readers : S.ReadersSince)
+    Readers.clear();
+  S.PriorMemOps.clear();
+  auto addEdge = [&S](size_t From, size_t To) {
+    S.Edges.emplace_back(From, To);
+    ++S.PredsLeft[To];
+  };
 
-  DepGraph G(Region, Bases, Stats);
+  // Memory dependences: each access orders pairwise against every prior
+  // access unless both are loads or their base classes are disjoint.
+  // Edges a chain through the last store would imply transitively change
+  // neither the feasible orders nor the greedy schedule's choices, and
+  // regions are basic-block-sized, so the pairwise walk stays cheap.
+  for (size_t I = 0; I < N; ++I) {
+    const Inst &In = Region[I];
+    assert(!isSchedulingBarrier(In) && "barrier inside region");
+    S.Latency[I] = latencyOf(In.Op);
 
-  std::vector<unsigned> PredsLeft(N);
+    unsigned Reads[3];
+    unsigned NumReads = regUnitsRead(In, Reads);
+    for (unsigned R = 0; R < NumReads; ++R) {
+      unsigned Unit = Reads[R];
+      if (S.LastWriter[Unit] >= 0)
+        addEdge(static_cast<size_t>(S.LastWriter[Unit]), I); // RAW
+      S.ReadersSince[Unit].push_back(I);
+    }
+    unsigned Written = regUnitWritten(In);
+    if (Written != ~0u) {
+      if (S.LastWriter[Written] >= 0)
+        addEdge(static_cast<size_t>(S.LastWriter[Written]), I); // WAW
+      for (size_t Reader : S.ReadersSince[Written])
+        if (Reader != I)
+          addEdge(Reader, I); // WAR
+      S.LastWriter[Written] = static_cast<int>(I);
+      S.ReadersSince[Written].clear();
+    }
+
+    if (isStore(In.Op) || isLoad(In.Op)) {
+      for (size_t J : S.PriorMemOps) {
+        if (!isStore(In.Op) && !isStore(Region[J].Op))
+          continue; // load/load pairs never need ordering
+        if (!Bases.empty() && disjointRegions(Bases[J], Bases[I])) {
+          if (Stats)
+            ++Stats->MemDepPairsFreed;
+          continue;
+        }
+        addEdge(J, I);
+      }
+      S.PriorMemOps.push_back(I);
+    }
+    // Every edge into I is known now.
+    if (S.PredsLeft[I] == 0)
+      S.Ready.push_back(I);
+  }
+
+  // Counting sort by source, from the last edge back so successors keep
+  // their order; targets ascend, so each successor's height is final here.
+  S.SuccBegin.assign(N + 1, 0);
+  for (const auto &[From, To] : S.Edges)
+    ++S.SuccBegin[From];
   for (size_t I = 0; I < N; ++I)
-    PredsLeft[I] = static_cast<unsigned>(G.Preds[I].size());
+    S.SuccBegin[I + 1] += S.SuccBegin[I];
+  S.Succs.resize(S.Edges.size());
+  S.Height.assign(N, 0);
+  for (size_t E = S.Edges.size(); E-- > 0;) {
+    auto [From, To] = S.Edges[E];
+    S.Succs[--S.SuccBegin[From]] = To;
+    S.Height[From] = std::max(S.Height[From], S.Latency[From] + S.Height[To]);
+  }
 
-  // EarliestCycle[i]: first cycle i may issue given issued predecessors.
-  std::vector<unsigned> EarliestCycle(N, 0);
-  std::vector<bool> Issued(N, false);
-
+  S.EarliestCycle.assign(N, 0);
   unsigned Cycle = 0;
   size_t NumIssued = 0;
   while (NumIssued < N) {
     unsigned SlotsLeft = 2;
     bool MemUsed = false;
-    bool IssuedThisCycle = true;
-    while (SlotsLeft > 0 && IssuedThisCycle) {
-      IssuedThisCycle = false;
+    while (SlotsLeft > 0) {
       // Pick the ready instruction with the greatest height; ties toward
-      // original order for determinism and stability.
-      size_t Best = N;
-      for (size_t I = 0; I < N; ++I) {
-        if (Issued[I] || PredsLeft[I] != 0 || EarliestCycle[I] > Cycle)
+      // original order (the list is unordered, so compare indices).
+      size_t BestPos = 0, Best = N;
+      for (size_t P = 0; P < S.Ready.size(); ++P) {
+        size_t I = S.Ready[P];
+        if (S.EarliestCycle[I] > Cycle || (MemUsed && isMemoryOp(Region[I])))
           continue;
-        if (MemUsed && isMemoryOp(Region[I]))
-          continue;
-        if (Best == N || G.Height[I] > G.Height[Best])
+        if (Best == N || S.Height[I] > S.Height[Best] ||
+            (S.Height[I] == S.Height[Best] && I < Best)) {
           Best = I;
+          BestPos = P;
+        }
       }
       if (Best == N)
         break;
-      Issued[Best] = true;
+      S.Ready[BestPos] = S.Ready.back();
+      S.Ready.pop_back();
       Order.push_back(Offset + Best);
       ++NumIssued;
       --SlotsLeft;
-      IssuedThisCycle = true;
-      if (isMemoryOp(Region[Best]))
-        MemUsed = true;
-      for (size_t S : G.Succs[Best]) {
-        --PredsLeft[S];
-        EarliestCycle[S] =
-            std::max(EarliestCycle[S], Cycle + G.Latency[Best]);
+      MemUsed |= isMemoryOp(Region[Best]);
+      for (size_t E = S.SuccBegin[Best]; E < S.SuccBegin[Best + 1]; ++E) {
+        size_t Succ = S.Succs[E];
+        S.EarliestCycle[Succ] =
+            std::max(S.EarliestCycle[Succ], Cycle + S.Latency[Best]);
+        if (--S.PredsLeft[Succ] == 0)
+          S.Ready.push_back(Succ);
       }
     }
     ++Cycle;
@@ -199,7 +193,8 @@ std::vector<size_t> om64::sched::scheduleRegion(
     SchedStats *Stats) {
   std::vector<size_t> Order;
   Order.reserve(Region.size());
-  appendSchedule(Region, Bases, Stats, 0, Order);
+  Scratch S;
+  appendSchedule(Region, Bases, Stats, 0, S, Order);
   return Order;
 }
 
@@ -212,12 +207,13 @@ std::vector<size_t> om64::sched::scheduleWithBarriers(
          "base classification must parallel the instructions");
   std::vector<size_t> Order;
   Order.reserve(Insts.size());
+  Scratch S;
   size_t RegionStart = 0;
   auto flushRegion = [&](size_t End) {
     size_t Len = End - RegionStart;
     appendSchedule(Insts.subspan(RegionStart, Len),
                    Bases.empty() ? Bases : Bases.subspan(RegionStart, Len),
-                   Stats, RegionStart, Order);
+                   Stats, RegionStart, S, Order);
     RegionStart = End;
   };
   for (size_t I = 0; I < Insts.size(); ++I) {

@@ -193,6 +193,59 @@ TEST(ObjectFileTest, RejectsHostileDataSymbols) {
   expectRejected(withDataSymbol(~0ull - 3, 8), "demo.table extends past .data");
 }
 
+/// sampleObject with its text split into two procedures: demo.main holds
+/// the literal (+0) and its use (+4), demo.helper the GPDISP pair (+8, +12).
+ObjectFile twoProcObject() {
+  ObjectFile O = sampleObject();
+  Symbol Helper = O.Symbols[0];
+  Helper.Name = "demo.helper";
+  Helper.Offset = 8;
+  Helper.Size = 8;
+  O.Symbols.push_back(Helper);
+  O.Procs[0].TextSize = 8;
+  ProcDesc D = O.Procs[0];
+  D.SymbolIndex = static_cast<uint32_t>(O.Symbols.size() - 1);
+  D.TextOffset = 8;
+  O.Procs.push_back(D);
+  return O;
+}
+
+TEST(ObjectFileTest, RejectsHostileRelocations) {
+  // The lift indexes instructions by relocation offsets and maps literal
+  // ids per procedure: each edit below once sent it out of bounds.
+  EXPECT_TRUE(bool(ObjectFile::deserialize(twoProcObject().serialize())));
+  ObjectFile UseMoved = twoProcObject();
+  UseMoved.Relocs[1].Offset = 12; // into demo.helper
+  expectRejected(UseMoved,
+                 "LITUSE_BASE at offset 12 has no literal id 7 in its "
+                 "procedure");
+  ObjectFile LitMoved = twoProcObject();
+  LitMoved.Relocs[0].Offset = 12; // its use stays in demo.main
+  expectRejected(LitMoved,
+                 "LITUSE_BASE at offset 4 has no literal id 7 in its "
+                 "procedure");
+  ObjectFile GpMisaligned = twoProcObject();
+  GpMisaligned.Relocs[2].Offset = 9;
+  expectRejected(GpMisaligned,
+                 "reloc GPDISP at offset 9 is not a 4-aligned .text "
+                 "instruction");
+  ObjectFile PairMisaligned = twoProcObject();
+  PairMisaligned.Relocs[2].PairOffset = 2;
+  expectRejected(PairMisaligned,
+                 "reloc GPDISP at offset 8 is not a 4-aligned .text "
+                 "instruction");
+  ObjectFile PairWraps = twoProcObject();
+  PairWraps.Relocs[2].PairOffset = ~0ull - 3; // 8 + this wraps to 4
+  expectRejected(PairWraps,
+                 "reloc GPDISP at offset 8 is not a 4-aligned .text "
+                 "instruction");
+  ObjectFile LitInData = twoProcObject();
+  LitInData.Relocs[0].Section = SectionKind::Data;
+  expectRejected(LitInData,
+                 "reloc LITERAL at offset 0 is not a 4-aligned .text "
+                 "instruction");
+}
+
 TEST(ObjectFileTest, FindSymbol) {
   ObjectFile O = sampleObject();
   EXPECT_EQ(O.findSymbol("demo.counter"), 1u);

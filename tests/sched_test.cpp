@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 using namespace om64;
 using namespace om64::isa;
@@ -278,15 +279,17 @@ TEST_P(WalkerPropertyTest, NothingCrossesAStartOrABarrier) {
     EXPECT_EQ(Ids[Perm[P]], Ids[P])
         << "instruction " << Perm[P] << " moved to position " << P
         << " across a region boundary (seed " << Seed << ")";
-    if (isSchedulingBarrier(Code[P]))
+    if (isSchedulingBarrier(Code[P])) {
       EXPECT_EQ(Perm[P], P) << "barrier moved (seed " << Seed << ")";
+    }
   }
   for (size_t I = 0; I < Code.size(); ++I)
     for (size_t J = I + 1; J < Code.size(); ++J)
-      if (mustFollow(Code[I], Code[J]))
+      if (mustFollow(Code[I], Code[J])) {
         EXPECT_LT(PosOf[I], PosOf[J])
             << "dependence " << I << " -> " << J << " violated (seed "
             << Seed << ")";
+      }
 }
 
 TEST_P(WalkerPropertyTest, OnlyDisjointMemoryPairsReorder) {
@@ -316,10 +319,11 @@ TEST_P(WalkerPropertyTest, OnlyDisjointMemoryPairsReorder) {
     for (size_t J = I + 1; J < Region.size(); ++J) {
       if (memoryOrdered(Region[I], Region[J]) && disjoint(I, J))
         ++Freed;
-      if (mustFollow(Region[I], Region[J], disjoint(I, J)))
+      if (mustFollow(Region[I], Region[J], disjoint(I, J))) {
         EXPECT_LT(PosOf[I], PosOf[J])
             << "dependence " << I << " -> " << J << " violated (seed "
             << Seed << ")";
+      }
     }
   EXPECT_EQ(Stats.MemDepPairsFreed, Freed);
 
@@ -360,5 +364,249 @@ TEST_P(WalkerPropertyTest, CyclesSumOverRegions) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSequences, WalkerPropertyTest,
                          ::testing::Range<uint64_t>(1, 33));
+
+// The scheduler as it stood before its scratch buffers and ready list:
+// a vector-of-vectors dependence graph built per region and an issue loop
+// that scans every instruction each slot. Its code is kept as it was
+// (comments and the barrier assert dropped) as the oracle the current
+// scheduler must reproduce exactly.
+namespace reference {
+
+struct DepGraph {
+  std::vector<std::vector<size_t>> Succs;
+  std::vector<std::vector<size_t>> Preds;
+  std::vector<unsigned> Latency;
+  std::vector<unsigned> Height;
+
+  DepGraph(std::span<const Inst> Region, std::span<const MemRegion> Bases,
+           SchedStats *Stats);
+};
+
+bool disjointRegions(MemRegion A, MemRegion B) {
+  return (A == MemRegion::Global && B == MemRegion::Stack) ||
+         (A == MemRegion::Stack && B == MemRegion::Global);
+}
+
+void addEdge(DepGraph &G, size_t From, size_t To) {
+  G.Succs[From].push_back(To);
+  G.Preds[To].push_back(From);
+}
+
+DepGraph::DepGraph(std::span<const Inst> Region,
+                   std::span<const MemRegion> Bases, SchedStats *Stats) {
+  size_t N = Region.size();
+  Succs.resize(N);
+  Preds.resize(N);
+  Latency.resize(N);
+  Height.assign(N, 0);
+
+  for (size_t I = 0; I < N; ++I)
+    Latency[I] = latencyOf(Region[I].Op);
+
+  std::vector<int> LastWriter(NumRegUnits, -1);
+  std::vector<std::vector<size_t>> ReadersSince(NumRegUnits);
+  std::vector<size_t> PriorMemOps;
+
+  for (size_t I = 0; I < N; ++I) {
+    const Inst &In = Region[I];
+    unsigned Reads[3];
+    unsigned NumReads = regUnitsRead(In, Reads);
+    for (unsigned R = 0; R < NumReads; ++R) {
+      unsigned Unit = Reads[R];
+      if (LastWriter[Unit] >= 0)
+        addEdge(*this, static_cast<size_t>(LastWriter[Unit]), I); // RAW
+      ReadersSince[Unit].push_back(I);
+    }
+    unsigned Written = regUnitWritten(In);
+    if (Written != ~0u) {
+      if (LastWriter[Written] >= 0)
+        addEdge(*this, static_cast<size_t>(LastWriter[Written]), I); // WAW
+      for (size_t Reader : ReadersSince[Written])
+        if (Reader != I)
+          addEdge(*this, Reader, I); // WAR
+      LastWriter[Written] = static_cast<int>(I);
+      ReadersSince[Written].clear();
+    }
+
+    if (!isStore(In.Op) && !isLoad(In.Op))
+      continue;
+    bool IsStoreI = isStore(In.Op);
+    for (size_t J : PriorMemOps) {
+      if (!IsStoreI && !isStore(Region[J].Op))
+        continue;
+      if (!Bases.empty() && disjointRegions(Bases[J], Bases[I])) {
+        if (Stats)
+          ++Stats->MemDepPairsFreed;
+        continue;
+      }
+      addEdge(*this, J, I);
+    }
+    PriorMemOps.push_back(I);
+  }
+
+  for (size_t I = N; I-- > 0;) {
+    unsigned H = 0;
+    for (size_t S : Succs[I])
+      H = std::max(H, Latency[I] + Height[S]);
+    Height[I] = H;
+  }
+}
+
+bool isMemoryOp(const Inst &I) {
+  InstClass C = classOf(I.Op);
+  return C == InstClass::IntLoad || C == InstClass::IntStore ||
+         C == InstClass::FpLoad || C == InstClass::FpStore;
+}
+
+void appendSchedule(std::span<const Inst> Region,
+                    std::span<const MemRegion> Bases, SchedStats *Stats,
+                    size_t Offset, std::vector<size_t> &Order) {
+  size_t N = Region.size();
+  if (N == 0)
+    return;
+
+  DepGraph G(Region, Bases, Stats);
+
+  std::vector<unsigned> PredsLeft(N);
+  for (size_t I = 0; I < N; ++I)
+    PredsLeft[I] = static_cast<unsigned>(G.Preds[I].size());
+
+  std::vector<unsigned> EarliestCycle(N, 0);
+  std::vector<bool> Issued(N, false);
+
+  unsigned Cycle = 0;
+  size_t NumIssued = 0;
+  while (NumIssued < N) {
+    unsigned SlotsLeft = 2;
+    bool MemUsed = false;
+    bool IssuedThisCycle = true;
+    while (SlotsLeft > 0 && IssuedThisCycle) {
+      IssuedThisCycle = false;
+      size_t Best = N;
+      for (size_t I = 0; I < N; ++I) {
+        if (Issued[I] || PredsLeft[I] != 0 || EarliestCycle[I] > Cycle)
+          continue;
+        if (MemUsed && isMemoryOp(Region[I]))
+          continue;
+        if (Best == N || G.Height[I] > G.Height[Best])
+          Best = I;
+      }
+      if (Best == N)
+        break;
+      Issued[Best] = true;
+      Order.push_back(Offset + Best);
+      ++NumIssued;
+      --SlotsLeft;
+      IssuedThisCycle = true;
+      if (isMemoryOp(Region[Best]))
+        MemUsed = true;
+      for (size_t S : G.Succs[Best]) {
+        --PredsLeft[S];
+        EarliestCycle[S] =
+            std::max(EarliestCycle[S], Cycle + G.Latency[Best]);
+      }
+    }
+    ++Cycle;
+  }
+  if (Stats)
+    Stats->Cycles += Cycle;
+}
+
+} // namespace reference
+
+/// The reference scheduler's walk over \p Insts: barriers fixed, a region
+/// ending at every barrier and before every marked start.
+std::vector<size_t> referenceSchedule(std::span<const Inst> Insts,
+                                      const std::vector<bool> &RegionStarts,
+                                      std::span<const MemRegion> Bases,
+                                      SchedStats *Stats) {
+  std::vector<size_t> Order;
+  Order.reserve(Insts.size());
+  size_t RegionStart = 0;
+  auto flushRegion = [&](size_t End) {
+    size_t Len = End - RegionStart;
+    reference::appendSchedule(
+        Insts.subspan(RegionStart, Len),
+        Bases.empty() ? Bases : Bases.subspan(RegionStart, Len), Stats,
+        RegionStart, Order);
+    RegionStart = End;
+  };
+  for (size_t I = 0; I < Insts.size(); ++I) {
+    if (!RegionStarts.empty() && RegionStarts[I])
+      flushRegion(I);
+    if (isSchedulingBarrier(Insts[I])) {
+      flushRegion(I);
+      Order.push_back(I);
+      RegionStart = I + 1;
+    }
+  }
+  flushRegion(Insts.size());
+  return Order;
+}
+
+TEST(SchedulerOracleTest, MatchesReferenceOnRandomSequences) {
+  // 2,000 sequences of 1-200 instructions. Barrier and region-start odds
+  // vary per seed, from dense (regions of a few instructions) to none (one
+  // region as long as the sequence, far past the 49-instruction maximum
+  // of the mega program's regions); half the seeds mix GP and SP bases,
+  // and of those half give the scheduler base classes.
+  uint64_t Regions = 0, LongRegions = 0, Freed = 0;
+  for (uint64_t Seed = 1; Seed <= 2000; ++Seed) {
+    DetRandom Rng(Seed * 2654435761u);
+    size_t N = 1 + Rng.nextBelow(200);
+    bool MixBases = Seed % 2 == 0;
+    std::vector<Inst> Code = randomRegion(Seed * 31, N, MixBases);
+    static const uint64_t Odds[] = {3, 8, 40, 0};
+    uint64_t BarrierOdds = Odds[Rng.nextBelow(4)];
+    uint64_t StartOdds = Odds[Rng.nextBelow(4)];
+    std::vector<bool> Starts;
+    if (StartOdds != 0)
+      Starts.resize(N);
+    for (size_t I = 0; I < N; ++I) {
+      if (BarrierOdds != 0 && Rng.nextBelow(BarrierOdds) == 0)
+        Code[I] = Rng.nextBelow(2) ? makeJump(Opcode::Jsr, RA, PV)
+                                   : makeBranch(Opcode::Bne, T0, -2);
+      if (StartOdds != 0)
+        Starts[I] = Rng.nextBelow(StartOdds) == 0;
+    }
+    std::vector<MemRegion> Bases;
+    if (MixBases && Seed % 4 == 0)
+      for (size_t I = 0; I < N; ++I)
+        Bases.push_back(static_cast<MemRegion>(Rng.nextBelow(3)));
+
+    size_t Run = 0;
+    for (size_t I = 0; I <= N; ++I) {
+      bool Ends = I == N || isSchedulingBarrier(Code[I]) ||
+                  (!Starts.empty() && Starts[I]);
+      if (Ends && Run != 0) {
+        ++Regions;
+        LongRegions += Run > 49;
+        Run = 0;
+      }
+      if (I < N && !isSchedulingBarrier(Code[I]))
+        ++Run;
+    }
+
+    SchedStats Got, Want;
+    std::vector<size_t> Perm = scheduleWithBarriers(Code, Starts, Bases, &Got);
+    std::vector<size_t> Ref = referenceSchedule(Code, Starts, Bases, &Want);
+    ASSERT_EQ(Perm, Ref) << "seed " << Seed;
+    ASSERT_EQ(Got.MemDepPairsFreed, Want.MemDepPairsFreed) << "seed " << Seed;
+    ASSERT_EQ(Got.Cycles, Want.Cycles) << "seed " << Seed;
+    Freed += Got.MemDepPairsFreed;
+
+    if (Starts.empty() && BarrierOdds == 0) {
+      SchedStats One, RefOne;
+      ASSERT_EQ(scheduleRegion(Code, Bases, &One),
+                referenceSchedule(Code, {}, Bases, &RefOne))
+          << "seed " << Seed;
+      ASSERT_EQ(One.Cycles, RefOne.Cycles) << "seed " << Seed;
+    }
+  }
+  // The sample really covers what it claims to.
+  EXPECT_GT(Regions, 10000u);
+  EXPECT_GT(LongRegions, 100u);
+  EXPECT_GT(Freed, 0u);
+}
 
 } // namespace

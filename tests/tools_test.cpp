@@ -81,9 +81,10 @@ struct SymbolRecord {
 
 /// Walks a serialized object (magic, version, module name, .text, .data,
 /// bss size, GAT) to its symbol table. Sets \p DataSize to the length of
-/// .data.
+/// .data and, if given, \p End to the first byte past the symbol table.
 std::vector<SymbolRecord> symbolRecords(const std::vector<char> &Bytes,
-                                        uint64_t &DataSize) {
+                                        uint64_t &DataSize,
+                                        size_t *End = nullptr) {
   size_t At = 8;
   auto u32 = [&]() {
     uint32_t V = 0;
@@ -115,7 +116,52 @@ std::vector<SymbolRecord> symbolRecords(const std::vector<char> &Bytes,
     R.IsDefined = At + 19;
     At += 20;
   }
+  if (End)
+    *End = At;
   return Records;
+}
+
+/// One relocation record of a serialized object: its fields' values, and
+/// the byte offset of the record (kind at +0, offset at +2, literal id at
+/// +14, pair offset at +38; 47 bytes in all).
+struct RelocRecord {
+  size_t At = 0;
+  uint8_t Kind = 0;
+  uint64_t Offset = 0;
+  uint32_t LiteralId = 0;
+};
+
+/// The relocation table of a serialized object, and in \p Procs the
+/// (offset, size) of each procedure descriptor that follows it.
+std::vector<RelocRecord>
+relocRecords(const std::vector<char> &Bytes,
+             std::vector<std::pair<uint64_t, uint64_t>> &Procs) {
+  uint64_t DataSize = 0;
+  size_t At = 0;
+  symbolRecords(Bytes, DataSize, &At);
+  auto read = [&Bytes](size_t Off, auto &V) {
+    std::memcpy(&V, Bytes.data() + Off, sizeof(V));
+  };
+  uint32_t Count = 0;
+  read(At, Count);
+  At += 4;
+  std::vector<RelocRecord> Relocs(Count);
+  for (RelocRecord &R : Relocs) {
+    R.At = At;
+    read(At, R.Kind);
+    read(At + 2, R.Offset);
+    read(At + 14, R.LiteralId);
+    At += 47;
+  }
+  read(At, Count);
+  At += 4;
+  Procs.resize(Count);
+  for (auto &[Offset, Size] : Procs) {
+    read(At + 4, Offset);
+    read(At + 12, Size);
+    At += 21;
+  }
+  return Relocs;
 }
 
 class ToolchainTest : public ::testing::Test {
@@ -859,6 +905,87 @@ TEST_F(ToolchainTest, HostileDataSymbolsFailWithDiagnostic) {
       EXPECT_NE(Out.find(Target->Name + " " + E.Diagnostic),
                 std::string::npos)
           << Cmd << Out;
+    }
+  }
+}
+
+
+TEST_F(ToolchainTest, HostileRelocationsFailWithDiagnostic) {
+  // Three edits to the relocations of a generated module, each of which
+  // once crashed the lift: a literal moved into another procedure, away
+  // from its uses; a use moved into another procedure, away from its
+  // literal; and a GPDISP moved off instruction alignment. Every reader
+  // must reject the module with a diagnostic and exit 1.
+  std::string Out;
+  const std::string Gen = Dir + "/gen", Bad = Dir + "/bad";
+  ASSERT_EQ(runCommand("mkdir -p " + Gen + " " + Bad, Out), 0);
+  ASSERT_EQ(runCommand(toolsDir() + "/megagen --modules 2 --procs 4 "
+                                    "--insts 2000 -o " + Gen,
+                       Out),
+            0)
+      << Out;
+  ASSERT_EQ(runCommand("cp " + Gen + "/mg0001.aaxo " + Bad, Out), 0);
+  const std::vector<char> Clean = readFile(Gen + "/mg0000.aaxo");
+  std::vector<std::pair<uint64_t, uint64_t>> Procs;
+  std::vector<RelocRecord> Relocs = relocRecords(Clean, Procs);
+  ASSERT_GE(Procs.size(), 2u);
+  auto procOf = [&Procs](uint64_t Off) {
+    for (size_t P = 0; P < Procs.size(); ++P)
+      if (Off >= Procs[P].first && Off - Procs[P].first < Procs[P].second)
+        return P;
+    return Procs.size();
+  };
+  // The middle instruction of a procedure other than \p P.
+  auto elsewhere = [&Procs](size_t P) {
+    const auto &[Offset, Size] = Procs[P == 0 ? 1 : 0];
+    return Offset + Size / 8 * 4;
+  };
+  enum : uint8_t { Literal = 0, LituseBase = 1, GpDisp = 5 };
+
+  // A literal and a use of it in the same procedure.
+  const RelocRecord *Lit = nullptr, *Use = nullptr;
+  for (const RelocRecord &L : Relocs)
+    for (const RelocRecord &U : Relocs)
+      if (!Lit && L.Kind == Literal && U.Kind == LituseBase &&
+          U.LiteralId == L.LiteralId && procOf(U.Offset) == procOf(L.Offset)) {
+        Lit = &L;
+        Use = &U;
+      }
+  ASSERT_NE(Lit, nullptr) << "mg0000.aaxo has no literal with a use";
+  const RelocRecord *Gp = nullptr;
+  for (const RelocRecord &R : Relocs)
+    if (!Gp && R.Kind == GpDisp && R.Offset >= 76)
+      Gp = &R;
+  ASSERT_NE(Gp, nullptr) << "mg0000.aaxo has no GPDISP past +76";
+
+  struct Edit {
+    size_t At;
+    uint64_t Offset;
+    std::string Diagnostic;
+  };
+  for (const Edit &E :
+       {Edit{Lit->At, elsewhere(procOf(Lit->Offset)),
+             "has no literal id " + std::to_string(Lit->LiteralId) +
+                 " in its procedure"},
+        Edit{Use->At, elsewhere(procOf(Use->Offset)),
+             "has no literal id " + std::to_string(Use->LiteralId) +
+                 " in its procedure"},
+        Edit{Gp->At, Gp->Offset - 75,
+             "GPDISP at offset " + std::to_string(Gp->Offset - 75) +
+                 " is not a 4-aligned .text instruction"}}) {
+    std::vector<char> Bytes = Clean;
+    std::memcpy(Bytes.data() + E.At + 2, &E.Offset, 8);
+    writeFile(Bad + "/mg0000.aaxo", Bytes);
+    for (const std::string &Cmd :
+         {"/omlink -O full --sched -o " + Dir + "/h.aaxe ",
+          "/omlink --standard -o " + Dir + "/h.aaxe ",
+          std::string("/aaxlint ")}) {
+      EXPECT_EQ(runCommandErr(toolsDir() + Cmd + Bad + "/mg0000.aaxo " +
+                                  Bad + "/mg0001.aaxo",
+                              Out),
+                1)
+          << Cmd << Out;
+      EXPECT_NE(Out.find(E.Diagnostic), std::string::npos) << Cmd << Out;
     }
   }
 }
