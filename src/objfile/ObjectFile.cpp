@@ -175,10 +175,22 @@ Error ObjectFile::verify() const {
                             " out of range");
 
   for (const Reloc &R : Relocs) {
+    if (R.Kind == RelocKind::RefQuad) {
+      // The linker patches 8 bytes at Offset; compared without forming
+      // Offset + 8, which can wrap.
+      if (R.Section != SectionKind::Data || Data.size() < 8 ||
+          R.Offset > Data.size() - 8)
+        return Error::failure(formatString(
+            "%s: reloc REFQUAD at offset %llu is not 8 bytes inside .data",
+            ModuleName.c_str(), static_cast<unsigned long long>(R.Offset)));
+      if (R.SymbolIndex >= Symbols.size())
+        return Error::failure(ModuleName + ": refquad symbol out of range");
+      continue;
+    }
     uint64_t SectionSize = R.Section == SectionKind::Text ? Text.size()
                            : R.Section == SectionKind::Data ? Data.size()
                                                             : 0;
-    if (R.Offset >= SectionSize && R.Kind != RelocKind::RefQuad)
+    if (R.Offset >= SectionSize)
       return Error::failure(
           formatString("%s: reloc %s at offset %llu is outside %s",
                        ModuleName.c_str(), relocKindName(R.Kind),
@@ -186,9 +198,8 @@ Error ObjectFile::verify() const {
                        sectionName(R.Section)));
     // The lift and the linker index instructions by these (a GPDISP's two).
     uint64_t Pair = R.Kind == RelocKind::GpDisp ? R.PairOffset : 0;
-    if (R.Kind != RelocKind::RefQuad &&
-        (R.Section != SectionKind::Text || R.Offset % 4 != 0 ||
-         Pair >= Text.size() - R.Offset || Pair % 4 != 0))
+    if (R.Section != SectionKind::Text || R.Offset % 4 != 0 ||
+        Pair >= Text.size() - R.Offset || Pair % 4 != 0)
       return Error::failure(formatString(
           "%s: reloc %s at offset %llu is not a 4-aligned .text instruction",
           ModuleName.c_str(), relocKindName(R.Kind),
@@ -197,8 +208,6 @@ Error ObjectFile::verify() const {
       return Error::failure(ModuleName + ": literal reloc GAT index " +
                             formatString("%u", R.GatIndex) +
                             " out of range");
-    if (R.Kind == RelocKind::RefQuad && R.SymbolIndex >= Symbols.size())
-      return Error::failure(ModuleName + ": refquad symbol out of range");
   }
 
   std::vector<bool> HasDesc(Symbols.size(), false);

@@ -8,6 +8,7 @@
 
 #include "om/OmImpl.h"
 #include "om/Verify.h"
+#include "support/Format.h"
 
 #include <chrono>
 
@@ -34,7 +35,21 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
 
 } // namespace
 
+/// Rejects option values no pipeline can run with: an unknown level, or
+/// more workers than OmOptions::MaxJobs.
+static Error checkBounds(const OmOptions &Opts) {
+  if (static_cast<unsigned>(Opts.Level) > static_cast<unsigned>(OmLevel::Full))
+    return Error::failure(formatString("unknown optimization level %u",
+                                       static_cast<unsigned>(Opts.Level)));
+  if (Opts.Jobs > OmOptions::MaxJobs)
+    return Error::failure(formatString("job count %u exceeds the limit of %u",
+                                       Opts.Jobs, OmOptions::MaxJobs));
+  return Error::success();
+}
+
 Result<OmOptions> om64::om::canonicalizeOptions(const OmOptions &OptsIn) {
+  if (Error E = checkBounds(OptsIn))
+    return Result<OmOptions>::failure(E.message());
   OmOptions Opts = OptsIn;
   if (Opts.Level == OmLevel::None) {
     // The no-optimization configuration measures OM's overhead against the
@@ -160,6 +175,8 @@ Result<OmResult> om64::om::runPipeline(const std::vector<obj::ObjectFile> &Objs,
 
 Result<LintRun> om64::om::lintObjects(const std::vector<obj::ObjectFile> &Objs,
                                       const OmOptions &Opts) {
+  if (Error E = checkBounds(Opts))
+    return Result<LintRun>::failure(E.message());
   ThreadPool Pool(Opts.Jobs);
   Result<SymbolicProgram> SP = liftProgram(Objs, Opts, Pool);
   if (!SP)

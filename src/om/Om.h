@@ -92,7 +92,10 @@ struct OmOptions {
   /// transforms, deletion, rescheduling, per-procedure verification, and
   /// code emission). 0 means hardware concurrency; 1 is the serial
   /// pipeline. The output image is byte-identical for every value.
+  /// Options arrive from the command line and from omlinkd's clients, so
+  /// a count above MaxJobs is rejected before any thread pool is built.
   unsigned Jobs = 0;
+  static constexpr unsigned MaxJobs = 256;
   /// Inputs below this many total text instructions run the whole pipeline
   /// serially regardless of Jobs: the 19 SPEC-shaped seed workloads link in
   /// milliseconds, where worker wakeups cost more than they save, and -jN

@@ -208,9 +208,11 @@ bool runProfileLayout(SymbolicProgram &SP, const OmOptions &Opts,
 /// runs: OmLevel::None clears the layout-changing knobs, block-count
 /// instrumentation implies procedure-count instrumentation (and both
 /// require OM-full), VerifyEachStage implies Verify. Fails on an
-/// inconsistent request. optimize() and the incremental relinker share
-/// this so a warm relink runs the same configuration a one-shot link
-/// would.
+/// inconsistent request, an unknown level, or a job count above
+/// OmOptions::MaxJobs (options decoded from an omlinkd frame reach the
+/// pipeline only through here). optimize() and the incremental relinker
+/// share this so a warm relink runs the same configuration a one-shot
+/// link would.
 Result<OmOptions> canonicalizeOptions(const OmOptions &Opts);
 
 /// The worker count the pipeline will actually use for \p Opts on an input

@@ -81,6 +81,10 @@ std::string om64::sim::statsText(const SimResult &R, bool Timing) {
                       (unsigned long long)R.DCacheMisses,
                       (unsigned long long)dcacheAccesses(R),
                       hitRate(R.DCacheMisses, dcacheAccesses(R)));
+    S += formatString("timing blocks    %llu (%llu from the memo, %.2f%%)\n",
+                      (unsigned long long)R.BlocksEnded,
+                      (unsigned long long)R.BlocksMemoized,
+                      pctOf(R.BlocksMemoized, R.BlocksEnded));
   }
   return S;
 }
@@ -124,8 +128,12 @@ std::string om64::sim::statsJson(const SimResult &R, bool Timing) {
                       (unsigned long long)R.DCacheMisses);
     S += formatString("    \"dcache_accesses\": %llu,\n",
                       (unsigned long long)dcacheAccesses(R));
-    S += formatString("    \"dcache_hit_pct\": %.2f\n",
+    S += formatString("    \"dcache_hit_pct\": %.2f,\n",
                       hitRate(R.DCacheMisses, dcacheAccesses(R)));
+    S += formatString("    \"blocks_ended\": %llu,\n",
+                      (unsigned long long)R.BlocksEnded);
+    S += formatString("    \"blocks_memoized\": %llu\n",
+                      (unsigned long long)R.BlocksMemoized);
     S += "  }\n";
   }
   S += "}\n";

@@ -34,30 +34,33 @@ using namespace om64::obj;
 
 namespace {
 
-/// Direct-mapped cache tag store. Geometry is validated by sim::run before
-/// construction (NumLines must be nonzero); functional runs keep the
+/// Direct-mapped cache tag store, indexed by shift and mask: sim::run
+/// accepts only power-of-two geometry. Functional runs keep the
 /// default-constructed, never-accessed empty store.
 class Cache {
 public:
   Cache() = default;
   explicit Cache(const CacheConfig &Cfg)
-      : LineBytes(Cfg.LineBytes), NumLines(Cfg.SizeBytes / Cfg.LineBytes),
-        Penalty(Cfg.MissPenalty), Tags(NumLines, ~0ull) {}
+      : LineShift(static_cast<unsigned>(std::countr_zero(Cfg.LineBytes))),
+        Penalty(Cfg.MissPenalty),
+        IndexMask(Cfg.SizeBytes / Cfg.LineBytes - 1),
+        Tags(IndexMask + 1, ~0ull) {}
 
   /// Returns the miss penalty (0 on hit) and updates the tag store.
-  unsigned access(uint64_t Addr) {
-    uint64_t Line = Addr / LineBytes;
-    uint64_t Index = Line % NumLines;
-    if (Tags[Index] == Line)
+  unsigned access(uint64_t Addr) { return accessLine(Addr >> LineShift); }
+  unsigned accessLine(uint64_t Line) {
+    uint64_t &Tag = Tags[Line & IndexMask];
+    if (Tag == Line)
       return 0;
-    Tags[Index] = Line;
+    Tag = Line;
     return Penalty;
   }
 
-private:
-  uint64_t LineBytes = 0;
-  uint64_t NumLines = 0;
+  unsigned LineShift = 0;
   unsigned Penalty = 0;
+
+private:
+  uint64_t IndexMask = 0;
   std::vector<uint64_t> Tags;
 };
 
@@ -209,50 +212,49 @@ bool pairable(Opcode A, const InstMeta &MA, Opcode B, const InstMeta &MB) {
 
 /// The DECstation-3000/400-class timing model: dual issue from aligned
 /// quadwords, register-ready times for load-use and long-latency results,
-/// and direct-mapped I/D caches. The core calls issue() when an instruction
-/// enters, load()/store() with each memory operand's effective address, and
-/// retire() when it leaves.
-struct Pipeline {
-  explicit Pipeline(const SimConfig &Cfg) {
-    if (Cfg.Timing) {
-      ICache = Cache(Cfg.ICache);
-      DCache = Cache(Cfg.DCache);
-    }
+/// and direct-mapped I/D caches, applied one basic block at a time.
+///
+/// The core's handlers feed it only each load's and store's effective
+/// address, in program order (the D-cache is exact and live; a load miss
+/// is remembered by its instruction index), and call endBlock() at every
+/// control transfer. rpcc and halt call flush() instead, for the partial
+/// block before the rpcc or ending at the halt. At the end of a block the
+/// I-cache is accessed once per line the block spans, in order; since the
+/// I- and D-caches are separate, every hit and miss is what per-fetch
+/// accesses would give. Then either a memo entry supplies the block's
+/// issue outcome, or replay(), the one copy of the issue model, issues and
+/// retires its instructions with the recorded miss penalties.
+///
+/// A block's issue depends on nothing but its instructions, whether its
+/// last one redirects, SlotAvail at entry, each live-in register unit's
+/// RegReady minus Cycle (clipped at 0: a unit ready by entry stays ready),
+/// and the miss penalties. So a block in which every access hit is
+/// memoized under (start, redirect, SlotAvail, live-in deltas), with the
+/// outcome as offsets from the entry cycle: cycles, dual-issue pairs, the
+/// exit SlotAvail and the ready time of each unit it writes. The table is
+/// direct-mapped and owned by the run. A block with more live-ins or
+/// writes than an entry holds, or with a delta over its cap, is replayed.
+class Pipeline {
+public:
+  Pipeline(const SimConfig &Cfg, const InstMeta *Meta, uint64_t TextBase,
+           size_t N, uint32_t Entry)
+      : Meta(Meta), TextBase(TextBase), BlockStart(Entry) {
+    if (!Cfg.Timing)
+      return;
+    ICache = Cache(Cfg.ICache);
+    DCache = Cache(Cfg.DCache);
+    // Sized to the text: about one slot per four instructions.
+    const size_t Slots =
+        std::clamp<size_t>(std::bit_ceil(std::max<size_t>(N / 4, 1)), 64,
+                           4096);
+    MemoShift = 64 - static_cast<unsigned>(std::countr_zero(Slots));
+    Memo.resize(Slots);
   }
 
-  void issue(uint64_t Pc, const InstMeta &M) {
-    if (unsigned Miss = ICache.access(Pc)) {
-      ++ICacheMisses;
-      if (SlotAvail) {
-        SlotAvail = false;
-        ++Cycle;
-      }
-      Cycle += Miss;
-    }
-    const uint64_t ReadyAt =
-        std::max({Cycle, RegReady[M.Reads[0]], RegReady[M.Reads[1]],
-                  RegReady[M.Reads[2]]});
-    Paired = SlotAvail && ReadyAt <= Cycle;
-    if (Paired) {
-      // Dual-issue with the previous instruction, same cycle.
-      ++DualIssuePairs;
-      SlotAvail = false;
-    } else {
-      if (SlotAvail) {
-        // The offered slot goes unused; the previous group ends.
-        SlotAvail = false;
-        ++Cycle;
-      }
-      Cycle = std::max(Cycle, ReadyAt);
-    }
-    IssueCycle = Cycle;
-    Lat = M.Latency;
-  }
-
-  void load(uint64_t Addr) {
-    if (unsigned Miss = DCache.access(Addr)) {
+  void load(uint64_t Addr, size_t Idx) {
+    if (DCache.access(Addr)) {
       ++DCacheMisses;
-      Lat += Miss;
+      LoadMisses.push_back(static_cast<uint32_t>(Idx));
     }
   }
 
@@ -261,42 +263,224 @@ struct Pipeline {
       ++DCacheMisses; // write buffer absorbs the latency
   }
 
-  /// \p Redirected: the successor is not the next sequential instruction
-  /// (a taken branch of displacement 0 is taken but not redirected).
-  void retire(const InstMeta &M, bool Redirected) {
-    RegReady[M.Written] = IssueCycle + Lat;
-    if (Redirected) {
-      Cycle = IssueCycle + 1 + 2; // group ends plus taken-branch bubble
-      SlotAvail = false;
-    } else if (Paired) {
-      Cycle = IssueCycle + 1; // both slots of the pair consumed
+  /// Ends the block at the control transfer \p Last. \p Redirected: its
+  /// successor \p Next is not the next sequential instruction (a taken
+  /// branch of displacement 0 is taken but not redirected).
+  void endBlock(size_t Last, bool Redirected, size_t Next) {
+    const uint32_t Start = BlockStart;
+    const uint32_t Stop = static_cast<uint32_t>(Last + 1);
+    BlockStart = static_cast<uint32_t>(Next);
+    ++BlocksEnded;
+    fetch(Start, Stop);
+    if (IMisses.empty() && LoadMisses.empty()) {
+      const uint8_t Flags = (Redirected ? 1 : 0) | (SlotAvail ? 2 : 0);
+      MemoEntry &E = Memo[slotOf(Start, Flags)];
+      if (E.Start == Start && E.Flags == Flags && liveInsMatch(E)) {
+        const uint64_t Entry = Cycle;
+        Cycle += E.Cycles;
+        DualIssuePairs += E.Pairs;
+        SlotAvail = E.SlotOut;
+        for (unsigned W = 0; W < E.NumWrites; ++W)
+          RegReady[E.Writes[W]] = Entry + E.WriteReady[W];
+        ++BlocksMemoized;
+        return;
+      }
+      replay(Start, Stop, Redirected, &E, Flags);
     } else {
-      // This instruction sits in slot 0 of IssueCycle; offer slot 1 to
-      // the next instruction when the pair shares an aligned quadword
-      // and has no hazards (the alignment rule OM-full's quadword loop
-      // alignment exists to satisfy).
-      SlotAvail = M.PairsNext;
-      Cycle = SlotAvail ? IssueCycle : IssueCycle + 1;
+      replay(Start, Stop, Redirected, nullptr, 0);
     }
-    Retired = Cycle;
   }
 
+  /// Issues the partial block ending before \p Stop (rpcc, which reads
+  /// Cycle next, or halt) without consulting the memo; the next block
+  /// starts at \p Stop.
+  void flush(size_t Stop) {
+    const uint32_t Start = BlockStart;
+    BlockStart = static_cast<uint32_t>(Stop);
+    if (Start == Stop)
+      return;
+    ++BlocksEnded;
+    fetch(Start, static_cast<uint32_t>(Stop));
+    replay(Start, static_cast<uint32_t>(Stop), false, nullptr, 0);
+  }
+
+  // Cycle is the cycle at which the next instruction issues absent stalls;
+  // SlotAvail means the previous instruction issued into slot 0 of Cycle
+  // and offered its second issue slot to the next one. Between blocks,
+  // Cycle is also the cycle of the last retirement (what rpcc reads).
+  uint64_t Cycle = 0;
+  uint64_t DualIssuePairs = 0;
+  uint64_t ICacheMisses = 0;
+  uint64_t DCacheMisses = 0;
+  uint64_t BlocksEnded = 0;
+  uint64_t BlocksMemoized = 0;
+
+private:
+  /// A memoized block outcome; Start == ~0u marks an empty slot.
+  struct MemoEntry {
+    static constexpr unsigned MaxLiveIns = 12;
+    static constexpr unsigned MaxWrites = 12;
+    uint32_t Start = ~0u;
+    uint8_t Flags = 0; // bit 0: last instruction redirects; 1: SlotAvail
+    bool SlotOut = false;
+    uint8_t NumLiveIns = 0;
+    uint8_t NumWrites = 0;
+    uint8_t LiveIns[MaxLiveIns] = {};
+    uint8_t LiveInDeltas[MaxLiveIns] = {};
+    uint8_t Writes[MaxWrites] = {};
+    uint16_t WriteReady[MaxWrites] = {}; // RegReady - entry Cycle
+    uint32_t Cycles = 0;
+    uint32_t Pairs = 0;
+  };
+
+  size_t slotOf(uint32_t Start, uint8_t Flags) const {
+    return static_cast<size_t>(((uint64_t{Start} << 2 | Flags) *
+                                0x9E3779B97F4A7C15ull) >>
+                               MemoShift);
+  }
+
+  /// RegReady[U] - Cycle, clipped at 0.
+  uint64_t readyDelta(uint8_t U) const {
+    return RegReady[U] > Cycle ? RegReady[U] - Cycle : 0;
+  }
+
+  bool liveInsMatch(const MemoEntry &E) const {
+    for (unsigned I = 0; I < E.NumLiveIns; ++I)
+      if (readyDelta(E.LiveIns[I]) != E.LiveInDeltas[I])
+        return false;
+    return true;
+  }
+
+  /// Accesses the I-cache once per line of [Start, Stop), in order,
+  /// recording the index of the block's first instruction in each line
+  /// that misses.
+  void fetch(uint32_t Start, uint32_t Stop) {
+    const unsigned Shift = ICache.LineShift;
+    const uint64_t First = (TextBase + uint64_t{Start} * 4) >> Shift;
+    const uint64_t Last = (TextBase + uint64_t{Stop - 1} * 4) >> Shift;
+    for (uint64_t Line = First; Line <= Last; ++Line)
+      if (ICache.accessLine(Line)) {
+        ++ICacheMisses;
+        IMisses.push_back(Line == First ? Start
+                                        : static_cast<uint32_t>(
+                                              ((Line << Shift) - TextBase) /
+                                              4));
+      }
+  }
+
+  /// Fills \p E's live-ins (units read before the block writes them, with
+  /// their entry deltas) and written units; false when they do not fit.
+  bool keyOf(uint32_t Start, uint32_t Stop, MemoEntry &E) const {
+    uint64_t Seen = 0, Written = 0;
+    for (uint32_t Idx = Start; Idx < Stop; ++Idx) {
+      const InstMeta &M = Meta[Idx];
+      for (uint8_t U : M.Reads) {
+        if (U >= NumRegUnits || ((Seen | Written) >> U & 1))
+          continue;
+        Seen |= uint64_t{1} << U;
+        const uint64_t D = readyDelta(U);
+        if (E.NumLiveIns == MemoEntry::MaxLiveIns || D > UINT8_MAX)
+          return false;
+        E.LiveIns[E.NumLiveIns] = U;
+        E.LiveInDeltas[E.NumLiveIns++] = static_cast<uint8_t>(D);
+      }
+      const uint8_t W = M.Written;
+      if (W >= NumRegUnits || (Written >> W & 1))
+        continue;
+      Written |= uint64_t{1} << W;
+      if (E.NumWrites == MemoEntry::MaxWrites)
+        return false;
+      E.Writes[E.NumWrites++] = W;
+    }
+    return true;
+  }
+
+  /// Runs the issue model over [Start, Stop) with the block's recorded
+  /// miss penalties. When \p Fill is given (every access hit), the outcome
+  /// is stored there under \p Flags, if the block fits an entry.
+  void replay(uint32_t Start, uint32_t Stop, bool Redirected,
+              MemoEntry *Fill, uint8_t Flags) {
+    MemoEntry New;
+    const bool Record = Fill && keyOf(Start, Stop, New);
+    const uint64_t Entry = Cycle;
+    // The model's state in locals (so RegReady stores cannot alias it),
+    // and the miss lists with an index no instruction has as sentinel.
+    uint64_t C = Cycle, Pairs = 0;
+    bool Slot = SlotAvail;
+    IMisses.push_back(Stop);
+    LoadMisses.push_back(Stop);
+    const uint32_t *NextI = IMisses.data(), *NextD = LoadMisses.data();
+    uint64_t IssueCycle = C;
+    for (uint32_t Idx = Start; Idx < Stop; ++Idx) {
+      const InstMeta &M = Meta[Idx];
+      // Issue. An I-cache miss ends an open issue group, then stalls.
+      if (*NextI == Idx) {
+        ++NextI;
+        C += Slot + ICache.Penalty;
+        Slot = false;
+      }
+      const uint64_t ReadyAt =
+          std::max({C, RegReady[M.Reads[0]], RegReady[M.Reads[1]],
+                    RegReady[M.Reads[2]]});
+      // Dual-issue with the previous instruction, same cycle; otherwise
+      // an offered slot goes unused and the previous group ends.
+      const bool Paired = Slot && ReadyAt <= C;
+      Pairs += Paired;
+      IssueCycle = Paired ? C : std::max(C + Slot, ReadyAt);
+      unsigned Lat = M.Latency;
+      if (*NextD == Idx) {
+        ++NextD;
+        Lat += DCache.Penalty;
+      }
+      // Retire. A paired instruction consumed the second slot; otherwise
+      // it sits in slot 0 and offers slot 1 to the next instruction when
+      // the pair shares an aligned quadword and has no hazards (the
+      // alignment rule OM-full's quadword loop alignment exists to
+      // satisfy).
+      RegReady[M.Written] = IssueCycle + Lat;
+      Slot = !Paired && M.PairsNext;
+      C = IssueCycle + !Slot;
+    }
+    if (Redirected) {
+      C = IssueCycle + 1 + 2; // group ends plus taken-branch bubble
+      Slot = false;
+    }
+    Cycle = C;
+    SlotAvail = Slot;
+    DualIssuePairs += Pairs;
+    IMisses.clear();
+    LoadMisses.clear();
+    if (!Record || C - Entry > UINT32_MAX)
+      return;
+    for (unsigned W = 0; W < New.NumWrites; ++W) {
+      const uint64_t Ready = RegReady[New.Writes[W]] - Entry;
+      if (Ready > UINT16_MAX)
+        return;
+      New.WriteReady[W] = static_cast<uint16_t>(Ready);
+    }
+    New.Start = Start;
+    New.Flags = Flags;
+    New.SlotOut = Slot;
+    New.Cycles = static_cast<uint32_t>(C - Entry);
+    New.Pairs = static_cast<uint32_t>(Pairs);
+    *Fill = New;
+  }
+
+  const InstMeta *Meta;
+  uint64_t TextBase;
   Cache ICache;
   Cache DCache;
   // Cycle each unit's value is ready, plus the two padding units.
   uint64_t RegReady[NoWrittenUnit + 1] = {};
-  // Cycle is the cycle at which the next instruction issues absent stalls;
-  // SlotAvail means the previous instruction issued into slot 0 of Cycle
-  // and offered its second issue slot to the next one.
-  uint64_t Cycle = 0;
   bool SlotAvail = false;
-  bool Paired = false; // the in-flight instruction issued as slot 1
-  uint64_t IssueCycle = 0;
-  unsigned Lat = 0;     // the in-flight instruction's result latency
-  uint64_t Retired = 0; // Cycle as of the last retirement (CALL_PAL rpcc)
-  uint64_t DualIssuePairs = 0;
-  uint64_t ICacheMisses = 0;
-  uint64_t DCacheMisses = 0;
+  // The current block: its first instruction, and the indices of its
+  // I-cache misses (the first instruction of each missing line) and load
+  // misses, in order.
+  uint32_t BlockStart;
+  std::vector<uint32_t> IMisses;
+  std::vector<uint32_t> LoadMisses;
+  std::vector<MemoEntry> Memo;
+  unsigned MemoShift = 64;
 };
 
 /// Full machine state and execution engine.
@@ -315,9 +499,9 @@ private:
   template <bool Timing, bool Prof> Result<SimResult> runMode();
 
   /// The interpreter: one definition of every handler, instantiated per
-  /// mode. Timing adds the pipeline's issue/retire accounting, Prof the
-  /// profile hook, and Threaded selects computed-goto dispatch over the
-  /// switch on handler ids.
+  /// mode. Timing adds the pipeline's cache accesses and block ends, Prof
+  /// the profile hook, and Threaded selects computed-goto dispatch over
+  /// the switch on handler ids.
   template <bool Timing, bool Prof, bool Threaded>
   Result<SimResult> runCore();
 
@@ -668,10 +852,11 @@ bool Machine::store(uint64_t Addr, unsigned Size, uint64_t Value) {
 //     back to Machine::load/store for everything else, which owns every
 //     fault message.
 //
-// The timing model and the profiler hook in at handler entry (issue) and
-// exit (retire) through `if constexpr`, so the functional instantiations
-// carry none of their state. Faults discard the in-flight result, so the
-// fast paths may count before checking.
+// The timing model hooks in at loads, stores and control transfers (where
+// a block ends), and the profiler at handler exit, through `if constexpr`,
+// so the functional instantiations carry none of their state. Faults
+// discard the in-flight result, so the fast paths may count before
+// checking.
 //===----------------------------------------------------------------------===//
 
 template <bool Timing, bool Prof, bool Threaded>
@@ -774,10 +959,10 @@ Result<SimResult> Machine::runCore() {
   constexpr unsigned ClsFpOp = static_cast<unsigned>(InstClass::FpOp);
   constexpr unsigned ClsTransfer = static_cast<unsigned>(InstClass::Transfer);
 
-  Pipeline Pipe(Cfg);
-  const InstMeta *const MB = Meta.data();
   const ThInst *const PB = Prog.data();
   const ThInst *PP = PB + (Img.Entry - TextBase) / 4;
+  Pipeline Pipe(Cfg, Meta.data(), TextBase, N,
+                static_cast<uint32_t>(PP - PB));
 
 // A handler: its switch case, plus its label under computed goto.
 #if OM64_SIM_THREADED_DISPATCH
@@ -798,21 +983,23 @@ Result<SimResult> Machine::runCore() {
 #endif
 #define OM64_TH_PC() (TextBase + static_cast<uint64_t>(PP - PB) * 4)
 // Handler entry: the fuel check (so the sentinel and fault labels, which
-// skip it, keep the budget test after a fall-off-the-end check), then the
-// timing model's issue.
+// skip it, keep the budget test after a fall-off-the-end check).
 #define OM64_TH_ENTER()                                                    \
   [[maybe_unused]] const void *const NH_ = PP[1].H;                        \
   if (--Fuel == 0)                                                         \
-    goto L_Budget;                                                         \
-  if constexpr (Timing)                                                    \
-    Pipe.issue(OM64_TH_PC(), MB[PP - PB])
+    goto L_Budget
 // Retirement accounting for the successor NEXTPC.
 #define OM64_TH_RETIRE(NEXTPC, REDIRECTED)                                 \
   do {                                                                     \
-    if constexpr (Timing)                                                  \
-      Pipe.retire(MB[PP - PB], REDIRECTED);                                \
     if constexpr (Prof)                                                    \
       profileRetire(PP - PB, NEXTPC, REDIRECTED);                          \
+  } while (0)
+// A control transfer ends the timing model's block; NEXTIDX starts the
+// next one.
+#define OM64_TH_END_BLOCK(REDIRECTED, NEXTIDX)                             \
+  do {                                                                     \
+    if constexpr (Timing)                                                  \
+      Pipe.endBlock(PP - PB, REDIRECTED, NEXTIDX);                         \
   } while (0)
 #define OM64_TH_NEXT()                                                     \
   do {                                                                     \
@@ -827,9 +1014,10 @@ Result<SimResult> Machine::runCore() {
   do {                                                                     \
     const uint64_t TI =                                                    \
         static_cast<uint64_t>(static_cast<int64_t>(TIdx));                 \
+    const bool Redirected = TI != static_cast<uint64_t>(PP - PB) + 1;      \
     ++NTaken;                                                              \
-    OM64_TH_RETIRE(TextBase + TI * 4,                                      \
-                   TI != static_cast<uint64_t>(PP - PB) + 1);              \
+    OM64_TH_RETIRE(TextBase + TI * 4, Redirected);                         \
+    OM64_TH_END_BLOCK(Redirected, TI);                                     \
     if (TI >= N)                                                           \
       return pcFault(TextBase + TI * 4);                                   \
     PP = PB + TI;                                                          \
@@ -842,6 +1030,7 @@ Result<SimResult> Machine::runCore() {
     ++Cls[ClsBranch];                                                      \
     if (FILE[PP->A] CMP 0)                                                 \
       OM64_TH_TAKEN(PP->Disp);                                             \
+    OM64_TH_END_BLOCK(false, PP - PB + 1);                                 \
     OM64_TH_NEXT();                                                        \
   }
 // Integer operate, instantiated as register (B = R[rb]) and literal
@@ -885,7 +1074,7 @@ Result<SimResult> Machine::runCore() {
     if (!loadMem(Addr, SIZE, V))                                           \
       goto L_Fault;                                                        \
     if constexpr (Timing)                                                  \
-      Pipe.load(Addr);                                                     \
+      Pipe.load(Addr, PP - PB);                                            \
     LOADED;                                                                \
     OM64_TH_NEXT();                                                        \
   }
@@ -925,6 +1114,8 @@ L_Dispatch:
       ++Cls[ClsPal];
       Res.ExitCode = R[A0];
       OM64_TH_RETIRE(OM64_TH_PC() + 4, false);
+      if constexpr (Timing)
+        Pipe.flush(PP - PB + 1);
       goto L_Halt;
     }
     OM64_TH_TARGET(PalPutChar) {
@@ -948,11 +1139,13 @@ L_Dispatch:
     OM64_TH_TARGET(PalCycle) {
       OM64_TH_ENTER();
       ++Cls[ClsPal];
-      // Timing runs report the cycle count as of the previous retirement;
-      // functional runs the instructions executed before this one.
-      if constexpr (Timing)
-        R[V0] = static_cast<int64_t>(Pipe.Retired);
-      else
+      // Timing runs report the cycle count as of the previous retirement,
+      // so the block so far is issued first; functional runs report the
+      // instructions executed before this one.
+      if constexpr (Timing) {
+        Pipe.flush(PP - PB);
+        R[V0] = static_cast<int64_t>(Pipe.Cycle);
+      } else
         R[V0] = static_cast<int64_t>(MaxInsts - Fuel);
       OM64_TH_NEXT();
     }
@@ -1010,13 +1203,14 @@ L_Dispatch:
       // legal).
       const uint64_t Pc = OM64_TH_PC();
       const uint64_t Target = static_cast<uint64_t>(R[PP->B]) & ~3ull;
+      const uint64_t TI = (Target - TextBase) / 4;
       R[PP->W] = static_cast<int64_t>(Pc + 4);
       OM64_TH_RETIRE(Target, Target != Pc + 4);
+      OM64_TH_END_BLOCK(Target != Pc + 4, TI);
       if (Target == Layout::HaltReturnAddress) {
         Res.ExitCode = R[V0];
         goto L_Halt;
       }
-      const uint64_t TI = (Target - TextBase) / 4;
       if (Target < TextBase || TI >= N)
         return pcFault(Target);
       PP = PB + TI;
@@ -1133,6 +1327,8 @@ L_Halt:
     Res.DualIssuePairs = Pipe.DualIssuePairs;
     Res.ICacheMisses = Pipe.ICacheMisses;
     Res.DCacheMisses = Pipe.DCacheMisses;
+    Res.BlocksEnded = Pipe.BlocksEnded;
+    Res.BlocksMemoized = Pipe.BlocksMemoized;
   }
   if constexpr (Prof)
     finishProfile();
@@ -1144,6 +1340,7 @@ L_Halt:
 #undef OM64_TH_PC
 #undef OM64_TH_ENTER
 #undef OM64_TH_RETIRE
+#undef OM64_TH_END_BLOCK
 #undef OM64_TH_NEXT
 #undef OM64_TH_TAKEN
 #undef OM64_TH_CONDBR
@@ -1217,19 +1414,22 @@ Result<SimResult> om64::sim::run(const Image &Img, const SimConfig &Cfg) {
       Img.Entry >= Img.TextBase + Img.Text.size() / 4 * 4)
     return Result<SimResult>::failure("image has no valid entry point");
   if (Cfg.Timing) {
-    // Degenerate geometry would divide by zero (LineBytes == 0) or leave
-    // the tag store empty (SizeBytes < LineBytes makes NumLines == 0 and
-    // `line % NumLines` undefined); reject it before building the caches.
-    auto checkCache = [](const char *Which, const CacheConfig &C) {
-      if (C.LineBytes == 0 || C.SizeBytes < C.LineBytes)
+    // The caches index by shift and mask, so both sizes must be powers of
+    // two, with at least one line; the I-cache is fetched a line at a
+    // time, so its lines must hold at least one instruction.
+    auto checkCache = [](const char *Which, const CacheConfig &C,
+                         uint32_t MinLine) {
+      if (!std::has_single_bit(C.LineBytes) ||
+          !std::has_single_bit(C.SizeBytes) || C.LineBytes < MinLine ||
+          C.SizeBytes < C.LineBytes)
         return Error::failure(formatString(
             "invalid %s-cache geometry: %u-byte lines, %u-byte size",
             Which, C.LineBytes, C.SizeBytes));
       return Error::success();
     };
-    if (Error E = checkCache("I", Cfg.ICache))
+    if (Error E = checkCache("I", Cfg.ICache, 4))
       return Result<SimResult>::failure(E.message());
-    if (Error E = checkCache("D", Cfg.DCache))
+    if (Error E = checkCache("D", Cfg.DCache, 1))
       return Result<SimResult>::failure(E.message());
   }
   auto Start = std::chrono::steady_clock::now();

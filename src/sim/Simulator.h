@@ -20,9 +20,11 @@
 /// the text is decoded once at startup into a dense array of translated
 /// instructions, and a single table of per-opcode handlers (each opcode's
 /// semantics written once) is instantiated per mode. The timing model and
-/// the profiler hook into handler entry and exit at compile time, so the
-/// functional instantiation never pays for them and no mode pays for
-/// per-instruction decode.
+/// the profiler hook into the handlers at compile time, so the functional
+/// instantiation never pays for them and no mode pays for per-instruction
+/// decode. The timing model issues a basic block at a time and memoizes
+/// each block's issue outcome per entry state (see Simulator.cpp's
+/// Pipeline); every counter equals the per-instruction model's.
 ///
 /// The simulator enters at Image::Entry with PV = entry (the calling
 /// convention main's prologue needs), RA = Layout::HaltReturnAddress, and
@@ -102,6 +104,12 @@ struct SimResult {
   uint64_t DualIssuePairs = 0; // timing mode only
   uint64_t ICacheMisses = 0;   // timing mode only
   uint64_t DCacheMisses = 0;   // timing mode only
+  /// Basic blocks the timing model issued (each ends at a control
+  /// transfer, or before rpcc or at halt), and how many of them took
+  /// their issue outcome from the block memo instead of a replay. Both
+  /// are 0 in functional mode.
+  uint64_t BlocksEnded = 0;
+  uint64_t BlocksMemoized = 0;
   /// Executed-instruction histogram by InstClass (index with
   /// static_cast<unsigned>(isa::InstClass)).
   std::array<uint64_t, isa::NumInstClasses> ClassCounts{};
@@ -128,8 +136,9 @@ struct SimResult {
 /// must fit between the standard data base and the stack. The whole text
 /// segment is decoded and validated up front, so an image containing any
 /// undecodable word is rejected before the first instruction executes;
-/// timing mode additionally rejects cache configs whose geometry would be
-/// degenerate (zero or oversized lines).
+/// timing mode additionally rejects cache geometry the caches cannot index
+/// by shift and mask: a line or size that is not a power of two, a cache
+/// smaller than its line, or an I-cache line shorter than an instruction.
 Result<SimResult> run(const obj::Image &Img, const SimConfig &Cfg = {});
 
 } // namespace sim

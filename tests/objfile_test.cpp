@@ -244,6 +244,30 @@ TEST(ObjectFileTest, RejectsHostileRelocations) {
   expectRejected(LitInData,
                  "reloc LITERAL at offset 0 is not a 4-aligned .text "
                  "instruction");
+
+  // The linker writes a REFQUAD's 8 bytes at its .data offset, so it
+  // needs 8 bytes of room inside .data (8 bytes here).
+  auto withRefQuad = [](SectionKind Section, uint64_t Offset) {
+    ObjectFile O = twoProcObject();
+    Reloc R;
+    R.Kind = RelocKind::RefQuad;
+    R.Section = Section;
+    R.Offset = Offset;
+    R.SymbolIndex = 1;
+    O.Relocs.push_back(R);
+    return O;
+  };
+  EXPECT_TRUE(bool(ObjectFile::deserialize(
+      withRefQuad(SectionKind::Data, 0).serialize())));
+  expectRejected(withRefQuad(SectionKind::Data, 1),
+                 "reloc REFQUAD at offset 1 is not 8 bytes inside .data");
+  expectRejected(withRefQuad(SectionKind::Data, ~0ull - 3), // + 8 wraps
+                 "is not 8 bytes inside .data");
+  expectRejected(withRefQuad(SectionKind::Text, 0),
+                 "reloc REFQUAD at offset 0 is not 8 bytes inside .data");
+  ObjectFile BadSymbol = withRefQuad(SectionKind::Data, 0);
+  BadSymbol.Relocs.back().SymbolIndex = 99;
+  expectRejected(BadSymbol, "refquad symbol out of range");
 }
 
 TEST(ObjectFileTest, FindSymbol) {

@@ -14,6 +14,7 @@
 
 #include "TestUtil.h"
 
+#include "om/OmImpl.h"
 #include "om/Verify.h"
 
 #include <gtest/gtest.h>
@@ -80,6 +81,30 @@ export func main(): int {
   return 0;
 }
 )";
+
+TEST(OmTest, OptionsBoundJobsAndLevel) {
+  // A job count or level straight off the wire must be refused before
+  // any thread pool is built: UINT32_MAX jobs with the serial fallback
+  // off would otherwise ask for about four billion threads.
+  om::OmOptions Opts;
+  Opts.SerialFallbackInsts = 0;
+  Opts.Jobs = om::OmOptions::MaxJobs;
+  EXPECT_TRUE(bool(om::canonicalizeOptions(Opts)));
+  Opts.Jobs = UINT32_MAX;
+  Result<om::OmOptions> C = om::canonicalizeOptions(Opts);
+  ASSERT_FALSE(bool(C));
+  EXPECT_EQ(C.message(), "job count 4294967295 exceeds the limit of 256");
+  EXPECT_FALSE(bool(om::optimize({}, Opts)));
+  Result<om::LintRun> L = om::lintObjects({}, Opts);
+  ASSERT_FALSE(bool(L));
+  EXPECT_NE(L.message().find("job count"), std::string::npos);
+
+  Opts.Jobs = 1;
+  Opts.Level = static_cast<om::OmLevel>(3);
+  C = om::canonicalizeOptions(Opts);
+  ASSERT_FALSE(bool(C));
+  EXPECT_EQ(C.message(), "unknown optimization level 3");
+}
 
 TEST(OmTest, JsrsBecomeBsrs) {
   std::vector<ObjectFile> Objs = buildObjects(CallHeavySource);

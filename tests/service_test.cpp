@@ -350,6 +350,26 @@ TEST(IncrementalLinkerTest, BadOptionsSurfaceOnFirstRelink) {
   EXPECT_FALSE(bool(R));
 }
 
+TEST(IncrementalLinkerTest, HostileJobCountIsRefusedBeforeAnyPool) {
+  // A well-formed frame asking for UINT32_MAX workers with the serial
+  // fallback off decodes (the count is a plain u32), and the relink the
+  // daemon runs for it must fail on the options, not build the pool.
+  service::RelinkRequest Req;
+  Req.Opts.Level = om::OmLevel::Full;
+  Req.Opts.Jobs = UINT32_MAX;
+  Req.Opts.SerialFallbackInsts = 0;
+  Req.OutputPath = "out.aaxe";
+  Req.InputPaths = {"a.aaxo"};
+  Result<service::RelinkRequest> Back =
+      service::decodeRelinkRequest(service::encodeRelinkRequest(Req));
+  ASSERT_TRUE(bool(Back)) << Back.message();
+  EXPECT_EQ(Back->Opts.Jobs, UINT32_MAX);
+  om::IncrementalLinker L(Back->Opts);
+  Result<om::RelinkResult> R = L.relink(workloadModules("sc"));
+  ASSERT_FALSE(bool(R));
+  EXPECT_EQ(R.message(), "job count 4294967295 exceeds the limit of 256");
+}
+
 //===----------------------------------------------------------------------===//
 // Daemon + Client over a real socket
 //===----------------------------------------------------------------------===//

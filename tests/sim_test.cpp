@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "GoldenTiming.h"
 #include "TestUtil.h"
 
 #include "sim/SimStats.h"
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 
 using namespace om64;
@@ -577,8 +579,35 @@ TEST(SimTest, DegenerateCacheGeometryIsRejected) {
   ASSERT_FALSE(bool(R));
   EXPECT_NE(R.message().find("cache geometry"), std::string::npos);
 
+  // The caches index by shift and mask: a size or line that is not a
+  // power of two is rejected, and so is an I-cache line shorter than an
+  // instruction (the I-cache is fetched a line at a time).
+  for (auto [Line, Size] : {std::pair<uint32_t, uint32_t>{24, 8192},
+                            {32, 6000}, {2, 8192}}) {
+    Cfg = sim::SimConfig();
+    Cfg.ICache.LineBytes = Line;
+    Cfg.ICache.SizeBytes = Size;
+    R = sim::run(Img, Cfg);
+    ASSERT_FALSE(bool(R)) << Line << "/" << Size;
+    EXPECT_NE(R.message().find("invalid I-cache geometry"),
+              std::string::npos)
+        << R.message();
+  }
+  Cfg = sim::SimConfig();
+  Cfg.DCache.LineBytes = 48;
+  R = sim::run(Img, Cfg);
+  ASSERT_FALSE(bool(R));
+  EXPECT_NE(R.message().find("invalid D-cache geometry"), std::string::npos);
+  // Any power-of-two geometry runs, down to 1-byte data lines.
+  Cfg.DCache = {64, 1, 20};
+  Cfg.ICache = {64, 4, 10};
+  R = sim::run(Img, Cfg);
+  ASSERT_TRUE(bool(R)) << R.message();
+  EXPECT_EQ(R->ExitCode, 1);
+
   // Functional mode never touches the caches, so a bogus geometry must
   // not prevent a functional run.
+  Cfg.DCache = {16, 32, 20};
   Cfg.Timing = false;
   R = sim::run(Img, Cfg);
   ASSERT_TRUE(bool(R)) << R.message();
@@ -715,13 +744,25 @@ TEST(SimTest, StatsHistogramAndMips) {
   std::string Json = sim::statsJson(*R, /*Timing=*/false);
   EXPECT_NE(Json.find("\"instructions\": 7"), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"timing\": null"), std::string::npos);
+  EXPECT_EQ(R->BlocksEnded, 0u);
+  EXPECT_EQ(R->BlocksMemoized, 0u);
 
-  // Timing runs render the cycle/cache section in both formats.
+  // Timing runs render the cycle/cache section in both formats, with the
+  // block memo's counters (one block: the code ends in its only jump).
   Result<sim::SimResult> T = sim::run(makeRawImage(Code));
   ASSERT_TRUE(bool(T)) << T.message();
+  EXPECT_EQ(T->BlocksEnded, 1u);
+  EXPECT_EQ(T->BlocksMemoized, 0u);
   EXPECT_NE(sim::statsText(*T, true).find("D-cache"), std::string::npos);
-  EXPECT_NE(sim::statsJson(*T, true).find("\"cycles\""),
-            std::string::npos);
+  EXPECT_NE(sim::statsText(*T, true).find("timing blocks    1 (0 from the "
+                                          "memo"),
+            std::string::npos)
+      << sim::statsText(*T, true);
+  Json = sim::statsJson(*T, true);
+  EXPECT_NE(Json.find("\"cycles\""), std::string::npos);
+  EXPECT_NE(Json.find("\"blocks_ended\": 1,"), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"blocks_memoized\": 0\n"), std::string::npos)
+      << Json;
 }
 
 TEST(SimTest, FunctionalModeReportsNoCycles) {
@@ -896,27 +937,11 @@ std::vector<Inst> allClassProgram() {
 }
 
 //===----------------------------------------------------------------------===//
-// Golden timing: the dual-issue model's exact counters on fixed images,
-// recorded before the timing model moved onto the translated core. The
-// cycle counts behind Fig. 6 and layout_speedup come from this model, so
-// any change here must be deliberate.
+// Golden timing (GoldenTiming.h): fixed images whose counters were pinned
+// with the per-instruction issue model.
 //===----------------------------------------------------------------------===//
 
-/// One run's pinned counters. ProfileHash is the content hash of the
-/// serialized SimResult::Profile (0 for runs that collect none).
-struct GoldenRun {
-  std::string Name;
-  uint64_t Instructions;
-  uint64_t Cycles;
-  uint64_t DualIssuePairs;
-  uint64_t ICacheMisses;
-  uint64_t DCacheMisses;
-  uint64_t TakenBranches;
-  int64_t ExitCode;
-  uint64_t ProfileHash;
-};
-
-const GoldenRun GoldenRuns[] = {
+const std::vector<GoldenRun> GoldenRuns = {
     {"all-classes/timing", 125, 305, 42, 17, 3, 11, 5, 0x0000000000000000ull},
     {"all-classes/profiled", 125, 305, 42, 17, 3, 11, 5, 0x50002ed1d7211ea7ull},
     {"all-classes/functional-profiled", 125, 0, 0, 0, 0, 11, 18,
@@ -964,68 +989,10 @@ const GoldenRun GoldenRuns[] = {
      0xb1f51d6bf504702full},
 };
 
-/// The three configurations every golden image runs in.
-struct GoldenMode {
-  const char *Suffix;
-  bool Timing;
-  bool Profile;
-};
-const GoldenMode GoldenModes[] = {
-    {"timing", true, false},
-    {"profiled", true, true},
-    {"functional-profiled", false, true},
-};
-
-/// Runs \p Img in every golden mode and compares against GoldenRuns.
-/// Returns the timing-profiled run's profile (the hot-cold layout input).
-prof::Profile expectGolden(const obj::Image &Img, const std::string &What) {
-  prof::Profile Collected;
-  for (const GoldenMode &M : GoldenModes) {
-    std::string Name = What + "/" + M.Suffix;
-    sim::SimConfig Cfg;
-    Cfg.Timing = M.Timing;
-    Cfg.Profile = M.Profile;
-    Result<sim::SimResult> R = sim::run(Img, Cfg);
-    EXPECT_TRUE(bool(R)) << Name << ": " << (R ? "" : R.message());
-    if (!R)
-      continue;
-    GoldenRun Got{Name,
-                  R->Instructions,
-                  R->Cycles,
-                  R->DualIssuePairs,
-                  R->ICacheMisses,
-                  R->DCacheMisses,
-                  R->TakenBranches,
-                  R->ExitCode,
-                  M.Profile ? hashBytes(R->Profile.serialize()) : 0};
-    if (M.Timing && M.Profile)
-      Collected = R->Profile;
-    const GoldenRun *Want = nullptr;
-    for (const GoldenRun &G : GoldenRuns)
-      if (G.Name == Name)
-        Want = &G;
-    auto row = [](const GoldenRun &G) {
-      return formatString("{\"%s\", %llu, %llu, %llu, %llu, %llu, %llu, "
-                          "%lld, 0x%016llxull},",
-                          G.Name.c_str(), (unsigned long long)G.Instructions,
-                          (unsigned long long)G.Cycles,
-                          (unsigned long long)G.DualIssuePairs,
-                          (unsigned long long)G.ICacheMisses,
-                          (unsigned long long)G.DCacheMisses,
-                          (unsigned long long)G.TakenBranches,
-                          (long long)G.ExitCode,
-                          (unsigned long long)G.ProfileHash);
-    };
-    EXPECT_NE(Want, nullptr) << "no golden row; observed " << row(Got);
-    if (Want) {
-      EXPECT_EQ(row(*Want), row(Got)) << Name;
-    }
-  }
-  return Collected;
-}
 
 TEST(GoldenTimingTest, AllClassProgram) {
-  expectGolden(rawImageWithProc(allClassProgram()), "all-classes");
+  expectGolden(rawImageWithProc(allClassProgram()), "all-classes",
+               GoldenRuns);
 }
 
 TEST(GoldenTimingTest, CycleCounterAndZeroDisplacementBranch) {
@@ -1044,7 +1011,7 @@ TEST(GoldenTimingTest, CycleCounterAndZeroDisplacementBranch) {
   Code.push_back(makeOpLit(Opcode::Sll, V0, 8, V0));
   Code.push_back(makeOp(Opcode::Bis, V0, S1, V0)); // exit = delta<<8 | t1
   Code.push_back(makeJump(Opcode::Ret, Zero, RA));
-  expectGolden(rawImageWithProc(Code), "rpcc-and-bsr0");
+  expectGolden(rawImageWithProc(Code), "rpcc-and-bsr0", GoldenRuns);
 }
 
 TEST(GoldenTimingTest, SpecWorkloadsOmAndHotCold) {
@@ -1061,14 +1028,313 @@ TEST(GoldenTimingTest, SpecWorkloadsOmAndHotCold) {
     Result<om::OmResult> Base =
         wl::linkWithOm(*W, wl::CompileMode::Each, Opts);
     ASSERT_TRUE(bool(Base)) << Base.message();
-    prof::Profile Prof = expectGolden(Base->Image, std::string(Name) + "/om");
+    prof::Profile Prof =
+        expectGolden(Base->Image, std::string(Name) + "/om", GoldenRuns);
 
     Opts.HotColdLayout = true;
     Opts.Profile = Prof;
     Result<om::OmResult> Lay = wl::linkWithOm(*W, wl::CompileMode::Each, Opts);
     ASSERT_TRUE(bool(Lay)) << Lay.message();
-    expectGolden(Lay->Image, std::string(Name) + "/hot-cold");
+    expectGolden(Lay->Image, std::string(Name) + "/hot-cold",
+                 GoldenRuns);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Golden timing for block memoization: small loops aimed at each part of
+// the memo key (start, redirect, entry slot, live-in readiness), at the
+// cache paths that must bypass it, and at the rpcc flush. Their rows were
+// recorded with the per-instruction issue model.
+//===----------------------------------------------------------------------===//
+
+const std::vector<GoldenRun> MemoGoldenRuns = {
+    {"memo/rpcc-mid-loop/timing", 386, 374, 162, 3, 1, 60, 185961834700,
+     0x0000000000000000ull},
+    {"memo/rpcc-mid-loop/profiled", 386, 374, 162, 3, 1, 60, 185961834700,
+     0x31d3ec287fae09b3ull},
+    {"memo/rpcc-mid-loop/functional-profiled", 386, 0, 0, 0, 0, 60,
+     154580775089, 0x31d3ec287fae09b3ull},
+    {"memo/alternating-load-use/timing", 582, 1272, 66, 2, 32, 64,
+     8025334476570614797, 0x0000000000000000ull},
+    {"memo/alternating-load-use/profiled", 582, 1272, 66, 2, 32, 64,
+     8025334476570614797, 0xb6d94795b1a9d983ull},
+    {"memo/alternating-load-use/functional-profiled", 582, 0, 0, 0, 0, 64,
+     8025334476570614797, 0xb6d94795b1a9d983ull},
+    {"memo/strided-dcache-misses/timing", 1606, 3023, 403, 2, 101, 200, 20100,
+     0x0000000000000000ull},
+    {"memo/strided-dcache-misses/profiled", 1606, 3023, 403, 2, 101, 200, 20100,
+     0x53f9aa027ae5585full},
+    {"memo/strided-dcache-misses/functional-profiled", 1606, 0, 0, 0, 0, 200,
+     20100, 0x53f9aa027ae5585full},
+    {"memo/loop-larger-than-icache/timing", 6911, 12585, 2, 421, 4, 3,
+     4239208354917051150, 0x0000000000000000ull},
+    {"memo/loop-larger-than-icache/profiled", 6911, 12585, 2, 421, 4, 3,
+     4239208354917051150, 0x897d9d73245b38efull},
+    {"memo/loop-larger-than-icache/functional-profiled", 6911, 0, 0, 0, 0, 3,
+     4239208354917051150, 0x897d9d73245b38efull},
+    {"memo/jsr-into-block-middle/timing", 382, 744, 93, 3, 1, 121, 4730,
+     0x0000000000000000ull},
+    {"memo/jsr-into-block-middle/profiled", 382, 744, 93, 3, 1, 121, 4730,
+     0x0f5e5594ac4076a8ull},
+    {"memo/jsr-into-block-middle/functional-profiled", 382, 0, 0, 0, 0, 121,
+     4730, 0x0f5e5594ac4076a8ull},
+    {"memo/branch-both-ways/timing", 279, 447, 2, 2, 0, 75, 200,
+     0x0000000000000000ull},
+    {"memo/branch-both-ways/profiled", 279, 447, 2, 2, 0, 75, 200,
+     0x89ace3589fc3a02dull},
+    {"memo/branch-both-ways/functional-profiled", 279, 0, 0, 0, 0, 75, 200,
+     0x89ace3589fc3a02dull},
+    {"memo/many-live-ins/timing", 745, 843, 292, 6, 21, 40, 214748378760,
+     0x0000000000000000ull},
+    {"memo/many-live-ins/profiled", 745, 843, 292, 6, 21, 40, 214748378760,
+     0x691dc4e941217477ull},
+    {"memo/many-live-ins/functional-profiled", 745, 0, 0, 0, 0, 40,
+     214748378760, 0x691dc4e941217477ull},
+};
+
+/// Hand assembly with named branch targets, for the memo loops.
+class LoopAsm {
+public:
+  void emit(Inst I) { Code.push_back(I); }
+  void label(const std::string &Name) { Labels[Name] = Code.size(); }
+  /// A branch to \p Target, resolved by finish().
+  void branch(Opcode Op, uint8_t Ra, const std::string &Target) {
+    Fixups.emplace_back(Code.size(), Target);
+    Code.push_back(makeBranch(Op, Ra, 0));
+  }
+  /// Pads with nops until the next instruction's index has parity
+  /// \p Parity (0: it starts an aligned quadword and may offer its second
+  /// issue slot; 1: it may take the slot offered by its predecessor).
+  void alignTo(unsigned Parity) {
+    while (Code.size() % 2 != Parity)
+      Code.push_back(Inst::nop());
+  }
+  size_t at(const std::string &Name) const { return Labels.at(Name); }
+  std::vector<Inst> finish() {
+    for (const auto &[At, Target] : Fixups)
+      Code[At].Disp = static_cast<int32_t>(Labels.at(Target)) -
+                      static_cast<int32_t>(At) - 1;
+    return Code;
+  }
+
+private:
+  std::vector<Inst> Code;
+  std::map<std::string, size_t> Labels;
+  std::vector<std::pair<size_t, std::string>> Fixups;
+};
+
+/// Checks \p Code's golden rows, then the block memo's own counters from
+/// its timing run: \p Ended timing blocks, \p Memoized of them served by
+/// the memo. Unlike the rows, these were pinned with the memo in place; a
+/// key that never matches (or matches too often) moves them even while
+/// every cycle count stays exact.
+void expectMemoGolden(const std::vector<Inst> &Code, const std::string &Name,
+                      uint64_t Ended, uint64_t Memoized) {
+  sim::SimResult Timing;
+  expectGolden(rawImageWithProc(Code), "memo/" + Name, MemoGoldenRuns,
+               &Timing);
+  EXPECT_EQ(Timing.BlocksEnded, Ended) << Name;
+  EXPECT_EQ(Timing.BlocksMemoized, Memoized) << Name;
+}
+
+TEST(GoldenTimingTest, MemoRpccMidLoop) {
+  // rpcc sits mid-block, so the partial block before it must be issued
+  // before the cycle count is read. Odd iterations branch straight to
+  // the rpcc (its block then starts with an empty slot); even ones fall
+  // through from an instruction that offers its slot, so the same block
+  // is entered in both slot states with the same live-in readiness.
+  LoopAsm A;
+  A.emit(makeMem(Opcode::Lda, S0, 40, Zero));
+  A.emit(makeOp(Opcode::Bis, Zero, Zero, S1));
+  A.emit(makeOp(Opcode::Bis, Zero, Zero, S2));
+  A.alignTo(0);
+  A.label("loop");
+  A.emit(makeOpLit(Opcode::Xor, S2, 1, S2));
+  A.emit(makeOp(Opcode::Addq, S1, T1, S1));
+  A.emit(makeOp(Opcode::Addq, S1, S0, T0));
+  A.branch(Opcode::Beq, S2, "rpcc");
+  A.emit(makeMem(Opcode::Ldq, T2, 0, GP));
+  A.alignTo(0);
+  A.emit(makeOpLit(Opcode::Addq, T0, 3, T1)); // offers its slot to rpcc
+  A.label("rpcc");
+  A.emit(makePal(PalFunc::CycleCount));
+  A.emit(makeOp(Opcode::Addq, S1, V0, S1));
+  A.emit(makeOpLit(Opcode::Subq, S0, 1, S0));
+  A.branch(Opcode::Bne, S0, "loop");
+  A.emit(makeOp(Opcode::Bis, Zero, S1, V0)); // exit = sum of the readings
+  A.emit(makeJump(Opcode::Ret, Zero, RA));
+  ASSERT_EQ(A.at("rpcc") % 2, 1u);
+  expectMemoGolden(A.finish(), "rpcc-mid-loop", 101, 74);
+}
+
+TEST(GoldenTimingTest, MemoAlternatingLoadUse) {
+  // The back-edge block loads t0 with a 16-byte stride (a D-cache miss
+  // every other iteration); the loop head reads it first thing, so the
+  // head is entered alternately with t0 still pending and t0 ready.
+  LoopAsm A;
+  A.emit(makeMem(Opcode::Lda, S0, 64, Zero));
+  A.emit(makeOp(Opcode::Bis, Zero, GP, S3));
+  A.emit(makeOp(Opcode::Bis, Zero, Zero, S1));
+  A.emit(makeOp(Opcode::Bis, Zero, Zero, T0));
+  A.alignTo(0);
+  A.label("loop");
+  A.emit(makeOp(Opcode::Addq, S1, T0, S1));
+  A.emit(makeOpLit(Opcode::Addq, S1, 5, S1));
+  A.emit(makeOp(Opcode::Xor, S1, S0, T3));
+  A.emit(makeOp(Opcode::Addq, S1, T3, S1));
+  A.branch(Opcode::Bne, Zero, "next"); // never taken: ends the head block
+  A.label("next");
+  A.emit(makeOpLit(Opcode::Subq, S0, 1, S0));
+  A.emit(makeMem(Opcode::Ldq, T0, 0, S3));
+  A.emit(makeMem(Opcode::Lda, S3, 16, S3));
+  A.branch(Opcode::Bne, S0, "loop");
+  A.emit(makeOp(Opcode::Bis, Zero, S1, V0));
+  A.emit(makeJump(Opcode::Ret, Zero, RA));
+  expectMemoGolden(A.finish(), "alternating-load-use", 129, 30);
+}
+
+TEST(GoldenTimingTest, MemoStridedDCacheMisses) {
+  // An 8-byte stride over 32-byte lines: the load misses every 4th
+  // iteration, and a store stream offset by one quadword misses on a
+  // different iteration of the four (a store miss costs no cycles).
+  LoopAsm A;
+  A.emit(makeMem(Opcode::Lda, S0, 200, Zero));
+  A.emit(makeOp(Opcode::Bis, Zero, GP, S3));
+  A.emit(makeMem(Opcode::Lda, S4, 2056, GP));
+  A.emit(makeOp(Opcode::Bis, Zero, Zero, S1));
+  A.alignTo(0);
+  A.label("loop");
+  A.emit(makeMem(Opcode::Ldq, T0, 0, S3));
+  A.emit(makeOp(Opcode::Addq, S1, S0, S1));
+  A.emit(makeOp(Opcode::Addq, S1, T0, S1));
+  A.emit(makeMem(Opcode::Stq, S1, 0, S4));
+  A.emit(makeMem(Opcode::Lda, S3, 8, S3));
+  A.emit(makeMem(Opcode::Lda, S4, 8, S4));
+  A.emit(makeOpLit(Opcode::Subq, S0, 1, S0));
+  A.branch(Opcode::Bne, S0, "loop");
+  A.emit(makeOp(Opcode::Bis, Zero, S1, V0));
+  A.emit(makeJump(Opcode::Ret, Zero, RA));
+  expectMemoGolden(A.finish(), "strided-dcache-misses", 201, 148);
+}
+
+TEST(GoldenTimingTest, MemoLoopLargerThanICache) {
+  // A 2,300-instruction loop body (9.2 KB against the 8 KB I-cache), cut
+  // into 10-instruction blocks by never-taken branches: the blocks whose
+  // lines wrap onto the body's first lines miss every iteration, the rest
+  // hit from the second iteration on. Blocks straddle line boundaries.
+  LoopAsm A;
+  A.emit(makeMem(Opcode::Lda, S0, 3, Zero));
+  A.emit(makeOp(Opcode::Bis, Zero, Zero, T0));
+  A.emit(makeOp(Opcode::Bis, Zero, Zero, T1));
+  A.label("loop");
+  for (int Group = 0; Group < 230; ++Group) {
+    A.emit(makeOpLit(Opcode::Addq, T0, 1, T0));
+    A.emit(makeOp(Opcode::Xor, T1, T0, T1));
+    A.emit(makeOp(Opcode::Addq, T2, T1, T2));
+    A.emit(makeMem(Opcode::Ldq, T3, 8 * (Group % 16), SP));
+    A.emit(makeOp(Opcode::Addq, T2, T3, T2));
+    A.emit(makeOpLit(Opcode::Sll, T1, 1, T4));
+    A.emit(makeOp(Opcode::Xor, T4, T2, T2));
+    A.emit(makeOp(Opcode::Subq, T2, T0, T5));
+    A.emit(makeOp(Opcode::Addq, T5, T1, T1));
+    const std::string Next = formatString("g%d", Group);
+    A.branch(Opcode::Bne, Zero, Next);
+    A.label(Next);
+  }
+  A.emit(makeOpLit(Opcode::Subq, S0, 1, S0));
+  A.branch(Opcode::Bne, S0, "loop");
+  A.emit(makeOp(Opcode::Bis, Zero, T2, V0));
+  A.emit(makeJump(Opcode::Ret, Zero, RA));
+  expectMemoGolden(A.finish(), "loop-larger-than-icache", 694, 178);
+}
+
+TEST(GoldenTimingTest, MemoJsrIntoBlockMiddle) {
+  // f's body is one block; odd iterations call it at its entry (BSR) and
+  // even ones JSR to its middle, where the block read of t2 is a live-in
+  // instead of the multiply's result.
+  LoopAsm A;
+  A.emit(makeOp(Opcode::Bis, Zero, RA, S5));
+  A.emit(makeMem(Opcode::Lda, S0, 30, Zero));
+  A.emit(makeMem(Opcode::Lda, A0, 3, Zero));
+  A.emit(makeBranch(Opcode::Bsr, T4, 0)); // t4 = address of "base"
+  A.label("base");
+  A.emit(makeMem(Opcode::Lda, T4, 0, T4)); // displacement patched below
+  A.label("loop");
+  A.emit(makeOpLit(Opcode::Xor, S2, 1, S2));
+  A.branch(Opcode::Beq, S2, "viajsr");
+  A.branch(Opcode::Bsr, RA, "f");
+  A.branch(Opcode::Br, Zero, "next");
+  A.label("viajsr");
+  A.emit(makeJump(Opcode::Jsr, RA, T4));
+  A.label("next");
+  A.emit(makeOp(Opcode::Addq, S1, V0, S1));
+  A.emit(makeOpLit(Opcode::Subq, S0, 1, S0));
+  A.branch(Opcode::Bne, S0, "loop");
+  A.emit(makeOp(Opcode::Bis, Zero, S1, V0));
+  A.emit(makeJump(Opcode::Ret, Zero, S5));
+  A.label("f");
+  A.emit(makeOpLit(Opcode::Addq, A0, 1, A0));
+  A.emit(makeOp(Opcode::Mulq, A0, A0, T2));
+  A.label("fmid");
+  A.emit(makeOp(Opcode::Addq, T2, A0, T3));
+  A.emit(makeOpLit(Opcode::Addq, T3, 7, V0));
+  A.emit(makeMem(Opcode::Ldq, T5, 0, SP));
+  A.emit(makeOp(Opcode::Addq, V0, T5, V0));
+  A.emit(makeJump(Opcode::Ret, Zero, RA));
+  std::vector<Inst> Code = A.finish();
+  Code[A.at("base")].Disp =
+      static_cast<int32_t>(4 * (A.at("fmid") - A.at("base")));
+  expectMemoGolden(Code, "jsr-into-block-middle", 137, 124);
+}
+
+TEST(GoldenTimingTest, MemoBranchBothWays) {
+  // The head block ends in a branch taken on odd iterations and not on
+  // even ones, from the same entry state: only the redirect flag tells
+  // the two exits apart.
+  LoopAsm A;
+  A.emit(makeMem(Opcode::Lda, S0, 50, Zero));
+  A.alignTo(0);
+  A.label("loop");
+  A.emit(makeOpLit(Opcode::Xor, S2, 1, S2));
+  A.emit(makeOp(Opcode::Addq, S1, S2, S1));
+  A.branch(Opcode::Beq, S2, "skip");
+  A.emit(makeOpLit(Opcode::Addq, S1, 7, S1));
+  A.label("skip");
+  A.emit(makeOpLit(Opcode::Subq, S0, 1, S0));
+  A.branch(Opcode::Bne, S0, "loop");
+  A.emit(makeOp(Opcode::Bis, Zero, S1, V0));
+  A.emit(makeJump(Opcode::Ret, Zero, RA));
+  expectMemoGolden(A.finish(), "branch-both-ways", 101, 94);
+}
+
+TEST(GoldenTimingTest, MemoMoreLiveInsThanTheKeyHolds) {
+  // A straight-line block reading 22 registers before writing any of
+  // them; the last one read (a4) comes from a load in the back-edge block
+  // that misses every other iteration, so the block's entry readiness
+  // differs only past the live-ins a key could hold.
+  const uint8_t Ins[] = {T0, T1, T2, T3, T4, T5, T6, T7, T8, T9, T10,
+                         T11, S0, S1, S2, S3, S4, A0, A1, A2, A3, A4};
+  LoopAsm A;
+  for (uint8_t R : Ins)
+    if (R != A3 && R != A4)
+      A.emit(makeMem(Opcode::Lda, R, R + 1, Zero));
+  A.emit(makeOp(Opcode::Bis, Zero, GP, A3));
+  A.emit(makeOp(Opcode::Bis, Zero, Zero, A4));
+  A.emit(makeMem(Opcode::Lda, S5, 40, Zero));
+  A.alignTo(0);
+  A.label("loop");
+  for (size_t I = 0; I < std::size(Ins); I += 2)
+    A.emit(makeOp(Opcode::Addq, Ins[I], Ins[I + 1], I % 4 ? AT : A5));
+  A.emit(makeOp(Opcode::Addq, V0, AT, V0));
+  A.emit(makeOp(Opcode::Addq, V0, A5, V0));
+  A.branch(Opcode::Bne, Zero, "back"); // never taken: ends the block
+  A.label("back");
+  A.emit(makeMem(Opcode::Lda, A3, 16, A3));
+  A.emit(makeMem(Opcode::Ldq, A4, 0, A3));
+  A.emit(makeOpLit(Opcode::Subq, S5, 1, S5));
+  A.branch(Opcode::Bne, S5, "loop");
+  A.emit(makeJump(Opcode::Ret, Zero, RA));
+  expectMemoGolden(A.finish(), "many-live-ins", 81, 18);
 }
 
 TEST(DispatchParityTest, EveryOpcodeClassAgrees) {

@@ -240,6 +240,7 @@ TEST_F(ToolchainTest, RunEmitsStatsJson) {
   EXPECT_NE(Out.find("\"class_counts\""), std::string::npos);
   EXPECT_NE(Out.find("\"cycles\""), std::string::npos)
       << "timing runs must include the timing section";
+  EXPECT_NE(Out.find("\"blocks_memoized\""), std::string::npos) << Out;
 
   // And to a file, in functional mode (timing section absent).
   EXPECT_EQ(runCommand(toolsDir() + "/aaxrun --functional --stats-json " +
@@ -689,6 +690,25 @@ TEST_F(ToolchainTest, BadNumericArgsExitTwoWithDiagnostic) {
   }
 }
 
+TEST_F(ToolchainTest, OmlinkJobCountAboveTheLimitFails) {
+  // -j accepts any u32, but the pipeline refuses more than 256 workers
+  // with a diagnostic before starting any.
+  std::string Out;
+  EXPECT_EQ(runCommandErr(toolsDir() + "/omlink -O full -j 4294967295 -o " +
+                              Dir + "/j.aaxe " + allObjects(),
+                          Out),
+            1)
+      << Out;
+  EXPECT_NE(Out.find("job count 4294967295 exceeds the limit of 256"),
+            std::string::npos)
+      << Out;
+  EXPECT_EQ(runCommandErr(toolsDir() + "/omlink -O full -j 256 -o " + Dir +
+                              "/j.aaxe " + allObjects(),
+                          Out),
+            0)
+      << Out;
+}
+
 TEST_F(ToolchainTest, OmlinkdWarmRelinkMatchesOmlink) {
   std::string Out;
   ASSERT_EQ(runCommand("mkdir -p " + Dir + "/svc", Out), 0);
@@ -911,11 +931,13 @@ TEST_F(ToolchainTest, HostileDataSymbolsFailWithDiagnostic) {
 
 
 TEST_F(ToolchainTest, HostileRelocationsFailWithDiagnostic) {
-  // Three edits to the relocations of a generated module, each of which
-  // once crashed the lift: a literal moved into another procedure, away
-  // from its uses; a use moved into another procedure, away from its
-  // literal; and a GPDISP moved off instruction alignment. Every reader
-  // must reject the module with a diagnostic and exit 1.
+  // Four edits to the relocations of a generated module, each of which
+  // once crashed the lift or the standard link: a literal moved into
+  // another procedure, away from its uses; a use moved into another
+  // procedure, away from its literal; a GPDISP moved off instruction
+  // alignment; and a use rewritten into a REFQUAD 1 MiB into .data, which
+  // the standard link wrote unchecked. Every reader must reject the module
+  // with a diagnostic and exit 1.
   std::string Out;
   const std::string Gen = Dir + "/gen", Bad = Dir + "/bad";
   ASSERT_EQ(runCommand("mkdir -p " + Gen + " " + Bad, Out), 0);
@@ -940,7 +962,8 @@ TEST_F(ToolchainTest, HostileRelocationsFailWithDiagnostic) {
     const auto &[Offset, Size] = Procs[P == 0 ? 1 : 0];
     return Offset + Size / 8 * 4;
   };
-  enum : uint8_t { Literal = 0, LituseBase = 1, GpDisp = 5 };
+  enum : uint8_t { Literal = 0, LituseBase = 1, GpDisp = 5, RefQuad = 6 };
+  const uint8_t Data = 2; // SectionKind::Data
 
   // A literal and a use of it in the same procedure.
   const RelocRecord *Lit = nullptr, *Use = nullptr;
@@ -962,6 +985,8 @@ TEST_F(ToolchainTest, HostileRelocationsFailWithDiagnostic) {
     size_t At;
     uint64_t Offset;
     std::string Diagnostic;
+    int Kind = -1; // new kind and section bytes; -1 keeps the record's
+    int Section = -1;
   };
   for (const Edit &E :
        {Edit{Lit->At, elsewhere(procOf(Lit->Offset)),
@@ -972,9 +997,16 @@ TEST_F(ToolchainTest, HostileRelocationsFailWithDiagnostic) {
                  " in its procedure"},
         Edit{Gp->At, Gp->Offset - 75,
              "GPDISP at offset " + std::to_string(Gp->Offset - 75) +
-                 " is not a 4-aligned .text instruction"}}) {
+                 " is not a 4-aligned .text instruction"},
+        Edit{Use->At, 1u << 20,
+             "reloc REFQUAD at offset 1048576 is not 8 bytes inside .data",
+             RefQuad, Data}}) {
     std::vector<char> Bytes = Clean;
     std::memcpy(Bytes.data() + E.At + 2, &E.Offset, 8);
+    if (E.Kind >= 0)
+      Bytes[E.At] = static_cast<char>(E.Kind);
+    if (E.Section >= 0)
+      Bytes[E.At + 1] = static_cast<char>(E.Section);
     writeFile(Bad + "/mg0000.aaxo", Bytes);
     for (const std::string &Cmd :
          {"/omlink -O full --sched -o " + Dir + "/h.aaxe ",
