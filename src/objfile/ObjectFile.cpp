@@ -248,10 +248,14 @@ Error ObjectFile::verify() const {
   }
 
   // The lift maps literal ids per procedure: a lituse's literal is there.
+  // The lift also gives each literal the load its one LITERAL names.
   std::set<std::pair<uint32_t, uint32_t>> Literals;
+  const Reloc *SecondLoad = nullptr;
   for (const Reloc &R : Relocs)
-    if (R.Kind == RelocKind::Literal)
-      Literals.insert({ProcAt[R.Offset / 4], R.LiteralId});
+    if (R.Kind == RelocKind::Literal &&
+        !Literals.insert({ProcAt[R.Offset / 4], R.LiteralId}).second &&
+        !SecondLoad)
+      SecondLoad = &R;
   for (const Reloc &R : Relocs)
     if ((R.Kind == RelocKind::LituseBase ||
          R.Kind == RelocKind::LituseJsr ||
@@ -262,5 +266,36 @@ Error ObjectFile::verify() const {
           "%s: %s at offset %llu has no literal id %u in its procedure",
           ModuleName.c_str(), relocKindName(R.Kind),
           static_cast<unsigned long long>(R.Offset), R.LiteralId));
+
+  // The lift gives each instruction one symbolic role, from the one
+  // relocation on its word (a GPDISP's two words included). A second
+  // relocation on a word overwrites the first's role; a second LITERAL
+  // overwrites its literal's load. Either leaves a literal with uses but
+  // no load.
+  std::vector<uint8_t> Relocated(Text.size() / 4, 0);
+  auto claim = [&](const Reloc &R, uint64_t Offset) -> Error {
+    if (Relocated[Offset / 4]++)
+      return Error::failure(formatString(
+          "%s: reloc %s at offset %llu shares its instruction with another "
+          "relocation",
+          ModuleName.c_str(), relocKindName(R.Kind),
+          static_cast<unsigned long long>(Offset)));
+    return Error::success();
+  };
+  for (const Reloc &R : Relocs) {
+    if (R.Kind == RelocKind::RefQuad)
+      continue;
+    if (Error E = claim(R, R.Offset))
+      return E;
+    if (R.Kind == RelocKind::GpDisp)
+      if (Error E = claim(R, R.Offset + R.PairOffset))
+        return E;
+  }
+  if (SecondLoad)
+    return Error::failure(formatString(
+        "%s: literal id %u has a second LITERAL at offset %llu in its "
+        "procedure",
+        ModuleName.c_str(), SecondLoad->LiteralId,
+        static_cast<unsigned long long>(SecondLoad->Offset)));
   return Error::success();
 }

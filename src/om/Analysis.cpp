@@ -251,6 +251,7 @@ Cfg analysis::buildCfg(const SymProc &Proc) {
   }
 
   C.BlockOf.assign(N, 0);
+  C.Blocks.reserve(std::count(Leader.begin(), Leader.end(), uint8_t(1)));
   for (uint32_t I = 0; I < N; ++I) {
     if (Leader[I]) {
       CfgBlock B;
@@ -291,9 +292,22 @@ Cfg analysis::buildCfg(const SymProc &Proc) {
       addSucc(Blk.End);
     }
   }
-  for (uint32_t B = 0; B < C.Blocks.size(); ++B)
-    for (uint32_t S = 0; S < C.Blocks[B].NumSuccs; ++S)
-      C.Blocks[C.Blocks[B].Succs[S]].Preds.push_back(B);
+  // Predecessors, counting-sorted by target: visiting sources in
+  // increasing order keeps each block's list sorted.
+  const uint32_t NB = static_cast<uint32_t>(C.Blocks.size());
+  C.PredBegin.assign(NB + 1, 0);
+  for (const CfgBlock &Blk : C.Blocks)
+    for (uint32_t S = 0; S < Blk.NumSuccs; ++S)
+      ++C.PredBegin[Blk.Succs[S] + 1];
+  for (uint32_t B = 0; B < NB; ++B)
+    C.PredBegin[B + 1] += C.PredBegin[B];
+  C.Preds.resize(C.PredBegin[NB]);
+  {
+    std::vector<uint32_t> Fill(C.PredBegin.begin(), C.PredBegin.end() - 1);
+    for (uint32_t B = 0; B < NB; ++B)
+      for (uint32_t S = 0; S < C.Blocks[B].NumSuccs; ++S)
+        C.Preds[Fill[C.Blocks[B].Succs[S]]++] = B;
+  }
 
   // Reachability and reverse postorder from the entry block.
   C.Reachable.assign(C.Blocks.size(), 0);
@@ -343,7 +357,7 @@ Cfg analysis::buildCfg(const SymProc &Proc) {
     for (uint32_t I = 1; I < C.Rpo.size(); ++I) {
       uint32_t B = C.Rpo[I];
       uint32_t NewIdom = ~0u;
-      for (uint32_t P : C.Blocks[B].Preds) {
+      for (uint32_t P : C.preds(B)) {
         if (!C.Reachable[P])
           continue;
         if (P != 0 && C.Idom[P] == ~0u)
@@ -617,7 +631,11 @@ void applyMem(const TransferCtx &C, const SymProc &Proc, const SymInst &SI,
       Returns = C.Summaries[Callee].Returns;
     }
     if (!Returns) {
-      M = MemState(); // everything after this call is unreachable
+      // Everything after this call is unreachable. Reset in place: the
+      // walking state's slot buffer is scratch, reused across blocks.
+      M.R.fill(MemVal::unknown());
+      M.Slots.clear();
+      M.Unreachable = true;
       return;
     }
     for (unsigned U = 0; U < NumRegUnits; ++U) {
@@ -695,41 +713,6 @@ void applyMem(const TransferCtx &C, const SymProc &Proc, const SymInst &SI,
   }
 }
 
-void meetMemInto(MemState &Into, const MemState &From) {
-  if (From.Unreachable)
-    return;
-  if (Into.Unreachable) {
-    Into = From;
-    return;
-  }
-  for (unsigned U = 0; U < NumRegUnits; ++U)
-    Into.R[U] = MemVal::meet(Into.R[U], From.R[U]);
-  // Keep only the slots both paths agree on (sorted intersection).
-  std::vector<std::pair<int64_t, MemVal>> Keep;
-  size_t A = 0, B = 0;
-  while (A < Into.Slots.size() && B < From.Slots.size()) {
-    if (Into.Slots[A].first < From.Slots[B].first) {
-      ++A;
-    } else if (From.Slots[B].first < Into.Slots[A].first) {
-      ++B;
-    } else {
-      if (Into.Slots[A].second == From.Slots[B].second)
-        Keep.push_back(Into.Slots[A]);
-      ++A;
-      ++B;
-    }
-  }
-  Into.Slots = std::move(Keep);
-}
-
-bool sameMem(const MemState &A, const MemState &B) {
-  if (A.Unreachable != B.Unreachable)
-    return false;
-  if (A.Unreachable)
-    return true;
-  return A.R == B.R && A.Slots == B.Slots;
-}
-
 /// The memory state every procedure is entered with: SP is the frame
 /// anchor, and every callee-saved unit (plus RA, whose save slot L008
 /// watches) still holds its own entry value.
@@ -748,24 +731,29 @@ MemState entryMemState() {
   return M;
 }
 
-void meetInto(ValueState &Into, const ValueState &From) {
+/// Meets \p From into \p Into in place; true when \p Into changed.
+bool meetInto(ValueState &Into, const ValueState &From) {
   if (From.Unreachable)
-    return;
+    return false;
   if (Into.Unreachable) {
     Into = From;
-    return;
-  }
-  for (unsigned U = 0; U < NumRegUnits; ++U)
-    Into.R[U] = AbsVal::meet(Into.R[U], From.R[U]);
-  Into.Gp |= From.Gp;
-}
-
-bool sameState(const ValueState &A, const ValueState &B) {
-  if (A.Unreachable != B.Unreachable)
-    return false;
-  if (A.Unreachable)
     return true;
-  return A.R == B.R && A.Gp == B.Gp;
+  }
+  bool Changed = false;
+  for (unsigned U = 0; U < NumRegUnits; ++U) {
+    AbsVal V = AbsVal::meet(Into.R[U], From.R[U]);
+    if (!(V == Into.R[U])) {
+      Into.R[U] = V;
+      Changed = true;
+    }
+  }
+  GpVal G = Into.Gp;
+  G |= From.Gp;
+  if (!(G == Into.Gp)) {
+    Into.Gp = G;
+    Changed = true;
+  }
+  return Changed;
 }
 
 /// The abstract state every procedure is entered with. Temporaries are
@@ -802,22 +790,114 @@ ValueState entryState(uint32_t ProcIdx) {
 
 using ProcRound = om::analysis::detail::ProcRound;
 
-/// Runs the intra-procedural value fixpoint for one procedure under the
-/// given (mid-fixpoint) summaries and extracts the round products.
-ProcRound analyzeProcRound(const TransferCtx &C, const Cfg &Cfg_,
-                           uint32_t ProcIdx) {
+/// A block's memory entry state with its frame slots stored out of line,
+/// as [SlotBegin, SlotBegin + NumSlots) of RoundScratch::Slots. A block's
+/// slot set is written once, when the block is first reached; after that
+/// meets only intersect it, so it shrinks in place and never moves.
+struct MemIn {
+  std::array<MemVal, 64> R;
+  uint32_t SlotBegin = 0;
+  uint32_t NumSlots = 0;
+  bool Unreachable = true;
+};
+
+/// One worker's reused buffers for the intra-procedural fixpoint: the
+/// memory entry state of every block with all their frame slots in one
+/// flat vector, the walking states, and the lint's value table. They grow
+/// to the largest procedure seen and are never shrunk, so a round over a
+/// procedure no larger than an earlier one allocates nothing.
+struct RoundScratch {
+  std::vector<ValueState> VIn; // the lint's; rounds solve into ProcValues
+  std::vector<MemIn> MIn;
+  std::vector<std::pair<int64_t, MemVal>> Slots;
+  ValueState S;
+  MemState M;
+
+  /// Copies block \p B's memory entry state into \p Out.
+  void loadMem(uint32_t B, MemState &Out) const {
+    const MemIn &In = MIn[B];
+    Out.R = In.R;
+    Out.Slots.assign(Slots.begin() + In.SlotBegin,
+                     Slots.begin() + In.SlotBegin + In.NumSlots);
+    Out.Unreachable = In.Unreachable;
+  }
+
+  /// Meets \p From into block \p B's memory entry state in place,
+  /// keeping only the frame slots both agree on; true when it changed.
+  bool meetMem(uint32_t B, const MemState &From) {
+    if (From.Unreachable)
+      return false;
+    MemIn &Into = MIn[B];
+    if (Into.Unreachable) {
+      Into.R = From.R;
+      Into.SlotBegin = static_cast<uint32_t>(Slots.size());
+      Into.NumSlots = static_cast<uint32_t>(From.Slots.size());
+      Slots.insert(Slots.end(), From.Slots.begin(), From.Slots.end());
+      Into.Unreachable = false;
+      return true;
+    }
+    bool Changed = false;
+    for (unsigned U = 0; U < NumRegUnits; ++U) {
+      MemVal V = MemVal::meet(Into.R[U], From.R[U]);
+      if (!(V == Into.R[U])) {
+        Into.R[U] = V;
+        Changed = true;
+      }
+    }
+    // Sorted intersection, compacted within the block's own range.
+    std::pair<int64_t, MemVal> *Own = Slots.data() + Into.SlotBegin;
+    uint32_t Kept = 0;
+    size_t A = 0, F = 0;
+    while (A < Into.NumSlots && F < From.Slots.size()) {
+      if (Own[A].first < From.Slots[F].first) {
+        ++A;
+      } else if (From.Slots[F].first < Own[A].first) {
+        ++F;
+      } else {
+        if (Own[A].second == From.Slots[F].second)
+          Own[Kept++] = Own[A];
+        ++A;
+        ++F;
+      }
+    }
+    if (Kept != Into.NumSlots) {
+      Into.NumSlots = Kept;
+      Changed = true;
+    }
+    return Changed;
+  }
+};
+
+/// The calling thread's scratch. Pool workers live as long as their pool,
+/// so a link's workers release theirs when the link's pool goes.
+RoundScratch &workerScratch() {
+  thread_local RoundScratch Scratch;
+  return Scratch;
+}
+
+/// Runs one procedure's intra-procedural fixpoint: block-entry value
+/// states into \p VIn and, with \p WithMem, memory entry states into
+/// \p Scr.MIn / Scr.Slots. The memory states ride the value fixpoint
+/// (their transfers read the value state only for the AddressLoad GP
+/// proof); the value transfer never reads them, so \p VIn is the same
+/// either way.
+void solveProc(const TransferCtx &C, uint32_t ProcIdx, const Cfg &G,
+               bool WithMem, std::vector<ValueState> &VIn,
+               RoundScratch &Scr) {
   const SymProc &Proc = C.SP.Procs[ProcIdx];
-  ProcRound R;
-  R.Values.In.assign(Cfg_.Blocks.size(), ValueState());
-  if (Cfg_.Blocks.empty())
-    return R;
-  R.Values.In[0] = entryState(ProcIdx);
-  // The memory states ride the same fixpoint (their transfers need the
-  // value state only for the AddressLoad GP proof); they are consumed by
-  // the PreservedSaved extraction below and then discarded — the lint
-  // recomputes them per procedure with entry-GP resolution.
-  std::vector<MemState> MemIn(Cfg_.Blocks.size());
-  MemIn[0] = entryMemState();
+  const size_t NB = G.Blocks.size();
+  VIn.assign(NB, ValueState());
+  if (NB == 0)
+    return;
+  VIn[0] = entryState(ProcIdx);
+  if (WithMem) {
+    Scr.MIn.assign(NB, MemIn());
+    Scr.Slots.clear();
+    Scr.MIn[0].R = entryMemState().R;
+    Scr.MIn[0].Unreachable = false;
+  }
+  ValueState &S = Scr.S;
+  MemState &M = Scr.M;
 
   // Iterate over RPO to a fixpoint: meets only descend the lattice, so
   // in-states are meet-accumulated and never reset. (The entry block keeps
@@ -825,31 +905,44 @@ ProcRound analyzeProcRound(const TransferCtx &C, const Cfg &Cfg_,
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (uint32_t B : Cfg_.Rpo) {
-      ValueState S = R.Values.In[B];
-      MemState M = MemIn[B];
-      if (S.Unreachable)
+    for (uint32_t B : G.Rpo) {
+      if (VIn[B].Unreachable)
         continue;
-      const CfgBlock &Blk = Cfg_.Blocks[B];
+      S = VIn[B];
+      if (WithMem)
+        Scr.loadMem(B, M);
+      const CfgBlock &Blk = G.Blocks[B];
       for (uint32_t I = Blk.Begin; I < Blk.End; ++I) {
-        applyMem(C, Proc, Proc.Insts[I], S, M);
+        if (WithMem)
+          applyMem(C, Proc, Proc.Insts[I], S, M);
         applyInst(C, Proc, Proc.Insts[I], S);
       }
       for (uint32_t SuccI = 0; SuccI < Blk.NumSuccs; ++SuccI) {
         uint32_t Succ = Blk.Succs[SuccI];
-        ValueState &In = R.Values.In[Succ];
-        ValueState Old = In;
-        meetInto(In, S);
-        if (!sameState(Old, In))
-          Changed = true;
-        MemState &MIn = MemIn[Succ];
-        MemState MOld = MIn;
-        meetMemInto(MIn, M);
-        if (!sameMem(MOld, MIn))
-          Changed = true;
+        Changed |= meetInto(VIn[Succ], S);
+        if (WithMem)
+          Changed |= Scr.meetMem(Succ, M);
       }
     }
   }
+}
+
+/// Runs the intra-procedural value fixpoint for one procedure under the
+/// given (mid-fixpoint) summaries and extracts the round products into
+/// \p R, reusing its buffers. With \p WithMem, the memory states ride
+/// along for the PreservedSaved extraction and are then discarded (the
+/// lint recomputes them per procedure with entry-GP resolution); without
+/// it, PreservedSaved stays ~0.
+void analyzeProcRound(const TransferCtx &C, const Cfg &Cfg_, uint32_t ProcIdx,
+                      bool WithMem, RoundScratch &Scr, ProcRound &R) {
+  const SymProc &Proc = C.SP.Procs[ProcIdx];
+  R.Summary = ProcSummary();
+  R.CalleeEntries.clear();
+  R.IndirectEntries.clear();
+  R.HasDataCall = false;
+  solveProc(C, ProcIdx, Cfg_, WithMem, R.Values.In, Scr);
+  if (Cfg_.Blocks.empty())
+    return;
 
   // Summary extraction: walk each reachable block once more, recording
   // call-site GP values, exit GP at returns, the PV-clobber bit, and the
@@ -865,11 +958,14 @@ ProcRound analyzeProcRound(const TransferCtx &C, const Cfg &Cfg_,
   R.Summary.ClobbersPv = false;
   R.Summary.Returns = false;
   R.Summary.PreservedSaved = ~0ull;
+  ValueState &S = Scr.S;
+  MemState &M = Scr.M;
   for (uint32_t B = 0; B < Cfg_.Blocks.size(); ++B) {
-    ValueState S = R.Values.In[B];
-    MemState M = MemIn[B];
-    if (S.Unreachable)
+    if (R.Values.In[B].Unreachable)
       continue;
+    S = R.Values.In[B];
+    if (WithMem)
+      Scr.loadMem(B, M);
     const CfgBlock &Blk = Cfg_.Blocks[B];
     for (uint32_t I = Blk.Begin; I < Blk.End; ++I) {
       const SymInst &SI = Proc.Insts[I];
@@ -897,8 +993,9 @@ ProcRound analyzeProcRound(const TransferCtx &C, const Cfg &Cfg_,
           R.Summary.ClobbersPv = true;
         }
       }
-      applyMem(C, Proc, Proc.Insts[I], S, M);
-      applyInst(C, Proc, Proc.Insts[I], S);
+      if (WithMem)
+        applyMem(C, Proc, SI, S, M);
+      applyInst(C, Proc, SI, S);
     }
     if (S.Unreachable)
       continue;
@@ -906,17 +1003,17 @@ ProcRound analyzeProcRound(const TransferCtx &C, const Cfg &Cfg_,
     if (!Last.Nullified && Last.I.Op == Opcode::Ret) {
       R.Summary.Returns = true;
       R.Summary.ExitGp |= S.Gp;
-      for (unsigned U = 0; U < NumRegUnits; ++U)
-        if ((CalleeSavedMask & unitBit(U)) &&
-            !(M.R[U] == MemVal::savedOf(U)))
-          R.Summary.PreservedSaved &= ~unitBit(U);
+      if (WithMem)
+        for (unsigned U = 0; U < NumRegUnits; ++U)
+          if ((CalleeSavedMask & unitBit(U)) &&
+              !(M.R[U] == MemVal::savedOf(U)))
+            R.Summary.PreservedSaved &= ~unitBit(U);
     }
     if (!Last.Nullified && Last.I.Op == Opcode::Jmp) {
       R.Summary.Returns = true;
       R.Summary.ExitGp |= GpVal::other();
     }
   }
-  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1124,87 +1221,150 @@ size_t roundEntryBytes(const ProcRound &R, bool WithValues) {
 void SummaryCache::trim(size_t MaxBytes) {
   if (Bytes <= MaxBytes)
     return;
+  enum Kind : uint8_t { RoundKind, LiveKind, CfgKind };
   struct Victim {
     uint64_t LastUse;
-    Key K;
-    bool IsLive;
+    Kind K;
+    Key At;
     size_t EntryBytes;
   };
   std::vector<Victim> Order;
-  Order.reserve(Rounds.size() + Liveness.size());
+  Order.reserve(Rounds.size() + Liveness.size() + Cfgs.size());
   for (const auto &[K, E] : Rounds)
-    Order.push_back({E->LastUse, K, false, E->Bytes});
+    Order.push_back({E->LastUse, RoundKind, K, E->Bytes});
   for (const auto &[K, E] : Liveness)
-    Order.push_back({E->LastUse, K, true, E->Bytes});
+    Order.push_back({E->LastUse, LiveKind, K, E->Bytes});
+  for (const auto &[P, E] : Cfgs)
+    Order.push_back({E->LastUse, CfgKind, {P, 0}, E->Bytes});
   std::sort(Order.begin(), Order.end(),
             [](const Victim &A, const Victim &B) {
               if (A.LastUse != B.LastUse)
                 return A.LastUse < B.LastUse;
-              if (A.IsLive != B.IsLive)
-                return !A.IsLive && B.IsLive;
-              if (A.K.Proc != B.K.Proc)
-                return A.K.Proc < B.K.Proc;
-              return A.K.Inputs < B.K.Inputs;
+              if (A.K != B.K)
+                return A.K < B.K;
+              if (A.At.Proc != B.At.Proc)
+                return A.At.Proc < B.At.Proc;
+              return A.At.Inputs < B.At.Inputs;
             });
   for (const Victim &V : Order) {
     if (Bytes <= MaxBytes)
       break;
-    if (V.IsLive)
-      Liveness.erase(V.K);
+    if (V.K == RoundKind)
+      Rounds.erase(V.At);
+    else if (V.K == LiveKind)
+      Liveness.erase(V.At);
     else
-      Rounds.erase(V.K);
+      Cfgs.erase(V.At.Proc);
     Bytes -= V.EntryBytes;
   }
 }
 
 ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
-                                         ThreadPool &Pool) {
+                                         ThreadPool &Pool,
+                                         AnalysisRequest Req) {
   SummaryCache Local;
-  return analyzeProgram(SP, Pool, Local);
+  return analyzeProgram(SP, Pool, Local, Req);
+}
+
+void analysis::detail::evaluateRound(const SymbolicProgram &SP,
+                                     const ProgramAnalysis &PA,
+                                     uint32_t ProcIdx, AnalysisRequest Req,
+                                     ProcRound &Out) {
+  TransferCtx C{SP,
+                PA.Summaries,
+                PA.IndirectExitGp,
+                PA.IndirectClobbersPv,
+                PA.IndirectReturns,
+                PA.IndirectReadsPv};
+  analyzeProcRound(C, *PA.Cfgs[ProcIdx], ProcIdx,
+                   Req == AnalysisRequest::Full, workerScratch(), Out);
 }
 
 ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
                                          ThreadPool &Pool,
-                                         SummaryCache &Cache) {
+                                         SummaryCache &Cache,
+                                         AnalysisRequest Req) {
   ProgramAnalysis PA;
+  PA.Request = Req;
+  const bool WithMem = Req == AnalysisRequest::Full;
   const size_t N = SP.Procs.size();
-  PA.Cfgs.resize(N);
-  Pool.parallelFor(N, [&](size_t I) { PA.Cfgs[I] = buildCfg(SP.Procs[I]); });
   ++Cache.Gen;
   ++Cache.Totals.Runs;
+  if (!WithMem)
+    ++Cache.Totals.ValueRuns;
+
+  // ProcHash/Callees are computed once per call; InputsHash is re-keyed
+  // every round against the evolving summaries.
+  std::vector<uint64_t> ProcHash(N), InputsHash(N);
+  std::vector<std::vector<uint32_t>> Callees(N);
+  Pool.parallelFor(N, [&](size_t I) {
+    ProcHash[I] = hashProcContent(SP, static_cast<uint32_t>(I));
+    Callees[I] = directCallees(SP, static_cast<uint32_t>(I));
+  });
+
+  // CFGs: one per procedure content key, kept in the cache. Two procedures
+  // never share a key (the key covers the procedure index).
+  PA.Cfgs.resize(N);
+  {
+    std::vector<std::shared_ptr<SummaryCache::CfgEntry>> Built(N);
+    for (size_t I = 0; I < N; ++I) {
+      auto It = Cache.Cfgs.find(ProcHash[I]);
+      if (It != Cache.Cfgs.end()) {
+        It->second->LastUse = Cache.Gen;
+        PA.Cfgs[I] = std::shared_ptr<const Cfg>(It->second, &It->second->C);
+      }
+    }
+    Pool.parallelFor(N, [&](size_t I) {
+      if (PA.Cfgs[I])
+        return;
+      auto E = std::make_shared<SummaryCache::CfgEntry>();
+      E->C = buildCfg(SP.Procs[I]);
+      Built[I] = std::move(E);
+    });
+    for (size_t I = 0; I < N; ++I) {
+      if (!Built[I])
+        continue;
+      const Cfg &C = Built[I]->C;
+      Built[I]->LastUse = Cache.Gen;
+      Built[I]->Bytes = 64 + C.Blocks.size() * (sizeof(CfgBlock) + 14) +
+                        C.BlockOf.size() * 4 + C.Preds.size() * 4;
+      Cache.Bytes += Built[I]->Bytes;
+      PA.Cfgs[I] = std::shared_ptr<const Cfg>(Built[I], &Built[I]->C);
+      Cache.Cfgs.emplace(ProcHash[I], std::move(Built[I]));
+    }
+  }
 
   bool AnyComputedJump = false;
-  for (const Cfg &C : PA.Cfgs)
-    AnyComputedJump |= C.HasComputedJump;
+  for (const std::shared_ptr<const Cfg> &C : PA.Cfgs)
+    AnyComputedJump |= C->HasComputedJump;
   std::vector<uint32_t> AddressTaken;
   for (uint32_t I = 0; I < N; ++I)
     if (SP.Procs[I].AddressTaken)
       AddressTaken.push_back(I);
 
-  // Interprocedural fixpoint over {ExitGp, Returns, ClobbersPv}: start
-  // from the optimistic bottom (the least fixpoint — sound because any
-  // concrete returning execution has a finite call tree whose innermost
-  // return surfaces in round one and propagates outward). Each round
-  // re-keys every procedure against the previous round's summaries and
-  // evaluates, in parallel, only the rounds the cache does not hold; the
-  // round count is bounded by the summary lattice height. All reductions
-  // are in procedure-index order.
+  // Interprocedural fixpoint over {ExitGp, Returns, ClobbersPv} (and, for
+  // Full requests, PreservedSaved): start from the optimistic bottom (the
+  // least fixpoint — sound because any concrete returning execution has a
+  // finite call tree whose innermost return surfaces in round one and
+  // propagates outward). Each round re-keys every procedure against the
+  // previous round's summaries and evaluates, in parallel, only the rounds
+  // the cache does not hold; the round count is bounded by the summary
+  // lattice height. All reductions are in procedure-index order. The
+  // value-side fields never read PreservedSaved, so they evolve round by
+  // round exactly alike under either request.
   PA.Summaries.assign(N, ProcSummary{});
   for (ProcSummary &S : PA.Summaries) {
     S.Returns = false;
     S.ClobbersPv = false;
   }
-  // Round results are shared_ptrs into the cache (Shared), so converged
-  // rounds outlive the call; ProcHash/Callees are computed once per call,
-  // InputsHash is re-keyed every round against the evolving summaries.
+  // Shared holds each procedure's current round as published in the cache
+  // (stripped of values when computed here); Work holds the last round
+  // this call evaluated per procedure, with values, reusing its buffers
+  // from round to round, and WorkKey that round's inputs key.
   std::vector<std::shared_ptr<SummaryCache::RoundEntry>> Shared(N);
-  std::vector<uint64_t> ProcHash(N), InputsHash(N);
-  std::vector<std::vector<uint32_t>> Callees(N);
-  std::vector<uint8_t> FreshRound(N, 0);
-  Pool.parallelFor(N, [&](size_t I) {
-    ProcHash[I] = hashProcContent(SP, static_cast<uint32_t>(I));
-    Callees[I] = directCallees(SP, static_cast<uint32_t>(I));
-  });
+  std::vector<ProcRound> Work(N);
+  std::vector<uint64_t> WorkKey(N);
+  std::vector<uint8_t> FreshRound(N, 0), HasWork(N, 0);
   auto makeCtx = [&]() {
     TransferCtx C{SP, PA.Summaries, GpVal::other(), true, true, true};
     if (!AnyComputedJump && !AddressTaken.empty()) {
@@ -1224,10 +1384,13 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
     return C;
   };
   // Keys every procedure under \p C: its content hash plus everything its
-  // transfers read from outside it — the combined indirect summary and
-  // each direct callee's current summary, in sorted-callee order.
+  // transfers read from outside it — the request, the combined indirect
+  // summary and each direct callee's current summary, in sorted-callee
+  // order. The request keeps Full and ValuesOnly rounds apart: their
+  // PreservedSaved differs.
   auto inputKeys = [&](const TransferCtx &C, std::vector<uint64_t> &Keys) {
     Hasher CtxH;
+    CtxH.addBool(WithMem);
     addGpVal(CtxH, C.IndirectExitGp);
     CtxH.addBool(C.IndirectClobbersPv);
     CtxH.addBool(C.IndirectReturns);
@@ -1242,6 +1405,12 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
       Keys[I] = H.digest();
     });
   };
+  auto evaluate = [&](const TransferCtx &C, size_t I) {
+    analyzeProcRound(C, *PA.Cfgs[I], static_cast<uint32_t>(I), WithMem,
+                     workerScratch(), Work[I]);
+    WorkKey[I] = InputsHash[I];
+    HasWork[I] = 1;
+  };
   bool SummariesChanged = true;
   while (SummariesChanged) {
     TransferCtx C = makeCtx();
@@ -1254,18 +1423,13 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
         FreshRound[I] = 0;
         ++Cache.Totals.RoundsReused;
       } else {
-        Shared[I] = nullptr;
         FreshRound[I] = 1;
         ++Cache.Totals.RoundsEvaluated;
       }
     }
     Pool.parallelFor(N, [&](size_t I) {
-      if (Shared[I])
-        return;
-      auto E = std::make_shared<SummaryCache::RoundEntry>();
-      E->R = analyzeProcRound(C, PA.Cfgs[I], static_cast<uint32_t>(I));
-      E->HasValues = true;
-      Shared[I] = std::move(E);
+      if (FreshRound[I])
+        evaluate(C, I);
     });
     // Publish the freshly computed rounds stripped of their value tables:
     // mid-fixpoint rounds recur every analysis, but only the converged
@@ -1275,14 +1439,15 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
       if (!FreshRound[I])
         continue;
       auto S = std::make_shared<SummaryCache::RoundEntry>();
-      S->R.Summary = Shared[I]->R.Summary;
-      S->R.CalleeEntries = Shared[I]->R.CalleeEntries;
-      S->R.IndirectEntries = Shared[I]->R.IndirectEntries;
-      S->R.HasDataCall = Shared[I]->R.HasDataCall;
+      S->R.Summary = Work[I].Summary;
+      S->R.CalleeEntries = Work[I].CalleeEntries;
+      S->R.IndirectEntries = Work[I].IndirectEntries;
+      S->R.HasDataCall = Work[I].HasDataCall;
       S->LastUse = Cache.Gen;
       S->Bytes = roundEntryBytes(S->R, false);
       Cache.Bytes += S->Bytes;
       Cache.Rounds[{ProcHash[I], InputsHash[I]}] = S;
+      Shared[I] = std::move(S);
     }
     SummariesChanged = false;
     for (size_t I = 0; I < N; ++I) {
@@ -1301,28 +1466,29 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
   }
 
   // Converged: the keys of the final round name the fixpoint state. Ensure
-  // every procedure's entry at its converged key carries the value tables
-  // (recomputing the round for procedures whose final lookup hit a
-  // stripped mid-fixpoint entry), then share them with the result.
+  // every procedure's entry at its converged key carries the value tables,
+  // then share them with the result. A procedure whose final lookup hit a
+  // stripped entry has its values in Work when this call evaluated that
+  // very key (in an earlier round whose inputs did not move since), and
+  // is recomputed otherwise.
   {
     TransferCtx C = makeCtx();
-    std::vector<std::shared_ptr<SummaryCache::RoundEntry>> Recomputed(N);
+    std::vector<uint8_t> Recompute(N, 0);
+    for (size_t I = 0; I < N; ++I)
+      Recompute[I] = !Shared[I]->HasValues &&
+                     (!HasWork[I] || WorkKey[I] != InputsHash[I]);
     Pool.parallelFor(N, [&](size_t I) {
-      if (Shared[I]->HasValues)
-        return;
-      auto E = std::make_shared<SummaryCache::RoundEntry>();
-      E->R = analyzeProcRound(C, PA.Cfgs[I], static_cast<uint32_t>(I));
-      E->HasValues = true;
-      Recomputed[I] = std::move(E);
+      if (Recompute[I])
+        evaluate(C, I);
     });
     PA.Values.resize(N);
     for (size_t I = 0; I < N; ++I) {
-      std::shared_ptr<SummaryCache::RoundEntry> Full = Recomputed[I];
-      if (Full)
+      if (Recompute[I])
         ++Cache.Totals.RoundsEvaluated; // converged lookup hit a stripped entry
-      else if (FreshRound[I])
-        Full = Shared[I]; // computed in the final round, values in hand
-      if (Full) {
+      if (!Shared[I]->HasValues) {
+        auto Full = std::make_shared<SummaryCache::RoundEntry>();
+        Full->R = std::move(Work[I]);
+        Full->HasValues = true;
         SummaryCache::Key K{ProcHash[I], InputsHash[I]};
         auto It = Cache.Rounds.find(K);
         if (It != Cache.Rounds.end())
@@ -1409,7 +1575,7 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
   // summaries). It reads the same per-procedure inputs the rounds do, but
   // against the final (possibly data-call-poisoned) indirect summary, so
   // it is keyed independently.
-  {
+  if (WithMem) {
     TransferCtx C{SP,
                   PA.Summaries,
                   PA.IndirectExitGp,
@@ -1430,7 +1596,7 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
       if (L[I])
         return;
       auto E = std::make_shared<SummaryCache::LiveEntry>();
-      E->L = analyzeLiveness(C, PA.Cfgs[I], static_cast<uint32_t>(I));
+      E->L = analyzeLiveness(C, *PA.Cfgs[I], static_cast<uint32_t>(I));
       L[I] = std::move(E);
     });
     PA.Live.resize(N);
@@ -1462,7 +1628,7 @@ ValueState ProgramAnalysis::valuesBefore(const SymbolicProgram &SP,
                                          uint32_t ProcIdx,
                                          uint32_t InstIdx) const {
   const SymProc &Proc = SP.Procs[ProcIdx];
-  const Cfg &C = Cfgs[ProcIdx];
+  const Cfg &C = *Cfgs[ProcIdx];
   if (InstIdx >= C.BlockOf.size())
     return ValueState();
   uint32_t B = C.BlockOf[InstIdx];
@@ -1480,8 +1646,9 @@ ValueState ProgramAnalysis::valuesBefore(const SymbolicProgram &SP,
 
 uint64_t ProgramAnalysis::liveAfter(const SymbolicProgram &SP,
                                     uint32_t ProcIdx, uint32_t InstIdx) const {
+  assert(Request == AnalysisRequest::Full && "liveness needs a Full analysis");
   const SymProc &Proc = SP.Procs[ProcIdx];
-  const Cfg &C = Cfgs[ProcIdx];
+  const Cfg &C = *Cfgs[ProcIdx];
   if (InstIdx >= C.BlockOf.size())
     return AllUnitsMask;
   uint32_t B = C.BlockOf[InstIdx];
@@ -1504,7 +1671,7 @@ analysis::memBaseRegions(const SymbolicProgram &SP, const ProgramAnalysis &PA,
   const SymProc &Proc = SP.Procs[ProcIdx];
   std::vector<sched::MemRegion> Regions(Proc.Insts.size(),
                                         sched::MemRegion::Unknown);
-  const Cfg &C = PA.Cfgs[ProcIdx];
+  const Cfg &C = *PA.Cfgs[ProcIdx];
   TransferCtx Ctx{SP,
                   PA.Summaries,
                   PA.IndirectExitGp,
@@ -1609,8 +1776,7 @@ std::string describeStep(const SymInst &SI) {
 /// defect site frame the trace.
 std::vector<LintWitnessStep>
 buildWitness(const TransferCtx &Ctx, const SymProc &Proc, const Cfg &C,
-             const std::vector<ValueState> &VIn,
-             const std::vector<MemState> &MIn, uint32_t DefBlock,
+             const RoundScratch &Scr, uint32_t DefBlock,
              uint32_t DefInst, uint64_t WatchUnits, bool WatchSlot,
              int64_t SlotOff, std::string DefectNote) {
   std::vector<LintWitnessStep> W;
@@ -1626,9 +1792,11 @@ buildWitness(const TransferCtx &Ctx, const SymProc &Proc, const Cfg &C,
                "entry: argument, callee-saved, and linkage registers hold "
                "caller values; sp anchors the frame"});
   size_t Elided = 0;
+  ValueState S;
+  MemState M;
   for (uint32_t B : Path) {
-    ValueState S = VIn[B];
-    MemState M = MIn[B];
+    S = Scr.VIn[B];
+    Scr.loadMem(B, M);
     const CfgBlock &Blk = C.Blocks[B];
     uint32_t End = B == DefBlock ? DefInst : Blk.End;
     for (uint32_t I = Blk.Begin; I < End; ++I) {
@@ -1675,7 +1843,7 @@ void lintProc(const TransferCtx &BaseCtx, const SymbolicProgram &SP,
               const ProgramAnalysis &PA, uint32_t ProcIdx,
               std::vector<LintFinding> &Out) {
   const SymProc &Proc = SP.Procs[ProcIdx];
-  const Cfg &C = PA.Cfgs[ProcIdx];
+  const Cfg &C = *PA.Cfgs[ProcIdx];
   if (Proc.Insts.empty() || C.Blocks.empty())
     return;
 
@@ -1683,38 +1851,11 @@ void lintProc(const TransferCtx &BaseCtx, const SymbolicProgram &SP,
   TransferCtx Ctx = BaseCtx;
   Ctx.ResolveEntry = &EntryGp;
 
-  // Procedure-local combined fixpoint (same shape as analyzeProcRound's,
-  // plus entry-GP resolution for AddressLoad provenance).
-  std::vector<ValueState> VIn(C.Blocks.size());
-  std::vector<MemState> MIn(C.Blocks.size());
-  VIn[0] = entryState(ProcIdx);
-  MIn[0] = entryMemState();
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (uint32_t B : C.Rpo) {
-      ValueState S = VIn[B];
-      MemState M = MIn[B];
-      if (S.Unreachable)
-        continue;
-      const CfgBlock &Blk = C.Blocks[B];
-      for (uint32_t I = Blk.Begin; I < Blk.End; ++I) {
-        applyMem(Ctx, Proc, Proc.Insts[I], S, M);
-        applyInst(Ctx, Proc, Proc.Insts[I], S);
-      }
-      for (uint32_t SuccI = 0; SuccI < Blk.NumSuccs; ++SuccI) {
-        uint32_t Succ = Blk.Succs[SuccI];
-        ValueState Old = VIn[Succ];
-        meetInto(VIn[Succ], S);
-        if (!sameState(Old, VIn[Succ]))
-          Changed = true;
-        MemState MOld = MIn[Succ];
-        meetMemInto(MIn[Succ], M);
-        if (!sameMem(MOld, MIn[Succ]))
-          Changed = true;
-      }
-    }
-  }
+  // Procedure-local combined fixpoint (the rounds' own, plus entry-GP
+  // resolution for AddressLoad provenance).
+  RoundScratch &Scr = workerScratch();
+  solveProc(Ctx, ProcIdx, C, /*WithMem=*/true, Scr.VIn, Scr);
+  const std::vector<ValueState> &VIn = Scr.VIn;
 
   auto report = [&](uint32_t InstIdx, const char *Code, std::string Msg,
                     uint64_t WatchUnits, bool WatchSlot, int64_t SlotOff,
@@ -1727,7 +1868,7 @@ void lintProc(const TransferCtx &BaseCtx, const SymbolicProgram &SP,
     F.Message = std::move(Msg);
     uint32_t DefBlock =
         C.BlockOf[std::min<size_t>(InstIdx, C.BlockOf.size() - 1)];
-    F.Witness = buildWitness(Ctx, Proc, C, VIn, MIn, DefBlock, InstIdx,
+    F.Witness = buildWitness(Ctx, Proc, C, Scr, DefBlock, InstIdx,
                              WatchUnits, WatchSlot, SlotOff,
                              std::move(DefectNote));
     Out.push_back(std::move(F));
@@ -1737,8 +1878,10 @@ void lintProc(const TransferCtx &BaseCtx, const SymbolicProgram &SP,
   for (uint32_t B = 0; B < C.Blocks.size(); ++B) {
     if (!C.Reachable[B])
       continue;
-    ValueState S = VIn[B];
-    MemState M = MIn[B];
+    ValueState &S = Scr.S;
+    MemState &M = Scr.M;
+    S = VIn[B];
+    Scr.loadMem(B, M);
     const CfgBlock &Blk = C.Blocks[B];
     for (uint32_t I = Blk.Begin; I < Blk.End; ++I) {
       const SymInst &SI = Proc.Insts[I];
@@ -1968,7 +2111,7 @@ void lintProc(const TransferCtx &BaseCtx, const SymbolicProgram &SP,
     F.Proc = Proc.Name;
     F.InstIdx = InstIdx;
     F.Message = "L004: control can fall through the end of the procedure";
-    F.Witness = buildWitness(Ctx, Proc, C, VIn, MIn, FallBlock,
+    F.Witness = buildWitness(Ctx, Proc, C, Scr, FallBlock,
                              C.Blocks[FallBlock].End, 0, false, 0,
                              "control runs past the last instruction");
     F.Witness.back().InstIdx = InstIdx; // the defect anchors on the last inst

@@ -38,6 +38,20 @@
 /// (OmImpl.h) caches one ProgramAnalysis per mutation epoch; transforms
 /// invalidate it by stage, and each recompute reuses the link's memo.
 ///
+/// An analysis is requested Full or ValuesOnly (AnalysisRequest). The lint,
+/// the deletion passes and the deletion-proof verifier run Full: values,
+/// the memory domain (PreservedSaved) and liveness. The rescheduler needs
+/// only memBaseRegions, which reads block-entry values, and the value
+/// transfer never reads a memory state or PreservedSaved, so it runs
+/// ValuesOnly: the same values and value-side summaries, with no memory
+/// domain and no liveness.
+///
+/// The per-procedure fixpoint allocates nothing per block: block-entry
+/// states meet in place, each worker reuses one scratch (walking states,
+/// memory entry states, and every block's frame slots in one flat vector)
+/// across rounds, and each procedure's Cfg is built once per content key
+/// and kept in the SummaryCache next to its rounds.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OM64_OM_ANALYSIS_H
@@ -50,6 +64,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -170,15 +185,15 @@ struct MemVal {
     SavedOf, // still holds the entry value of register unit Id
     GatAddr, // &Syms[Id] + Off, proven through a GAT load
   };
-  K Kind = K::Unknown;
   int64_t Off = 0; // SpRel / GatAddr byte offset
   uint32_t Id = 0; // SavedOf: register unit; GatAddr: symbol id
+  K Kind = K::Unknown; // last: 16 bytes in all
 
   static MemVal unknown() { return {}; }
-  static MemVal spRel(int64_t O) { return {K::SpRel, O, 0}; }
-  static MemVal savedOf(unsigned U) { return {K::SavedOf, 0, U}; }
+  static MemVal spRel(int64_t O) { return {O, 0, K::SpRel}; }
+  static MemVal savedOf(unsigned U) { return {0, U, K::SavedOf}; }
   static MemVal gatAddr(uint32_t Sym, int64_t O) {
-    return {K::GatAddr, O, Sym};
+    return {O, Sym, K::GatAddr};
   }
 
   bool operator==(const MemVal &O) const = default;
@@ -212,14 +227,13 @@ struct MemState {
 //===----------------------------------------------------------------------===//
 
 /// One basic block: the half-open instruction range [Begin, End) plus its
-/// successor/predecessor edges (block indices). At most two successors
-/// (fall-through and/or one branch target).
+/// successor edges (block indices). At most two successors (fall-through
+/// and/or one branch target); predecessors are Cfg::preds.
 struct CfgBlock {
   uint32_t Begin = 0;
   uint32_t End = 0;
   uint32_t NumSuccs = 0;
   std::array<uint32_t, 2> Succs = {~0u, ~0u};
-  std::vector<uint32_t> Preds;
 };
 
 /// Per-procedure CFG with reachability, reverse postorder, and immediate
@@ -229,6 +243,10 @@ struct CfgBlock {
 struct Cfg {
   std::vector<CfgBlock> Blocks;   // in instruction order
   std::vector<uint32_t> BlockOf;  // instruction index -> block index
+  /// Predecessor edges, flat: block B's are Preds[PredBegin[B]] up to
+  /// Preds[PredBegin[B + 1]], in increasing source-block order.
+  std::vector<uint32_t> PredBegin;
+  std::vector<uint32_t> Preds;
   std::vector<uint8_t> Reachable; // per block, from the entry block
   std::vector<uint32_t> Rpo;      // reachable blocks in reverse postorder
   std::vector<uint32_t> Idom;     // per block; ~0u for entry/unreachable
@@ -247,6 +265,11 @@ struct Cfg {
   /// True when block \p A dominates block \p B (reflexive). Unreachable
   /// blocks are dominated by nothing and dominate nothing.
   bool dominates(uint32_t A, uint32_t B) const;
+
+  /// Block \p B's predecessors.
+  std::span<const uint32_t> preds(uint32_t B) const {
+    return {Preds.data() + PredBegin[B], PredBegin[B + 1] - PredBegin[B]};
+  }
 };
 
 /// Builds the CFG of one procedure. Pure; safe to call concurrently on
@@ -276,6 +299,13 @@ struct ProcValues {
   std::vector<ValueState> In;
 };
 
+/// What an analyzeProgram call computes. Full: everything ProgramAnalysis
+/// holds. ValuesOnly: CFGs, block-entry values and every value-side field
+/// (summaries, indirect summary, reach sets) exactly as Full computes them,
+/// but no memory domain (every PreservedSaved stays ~0) and no liveness
+/// (Live is empty) — what memBaseRegions reads, and nothing more.
+enum class AnalysisRequest : uint8_t { Full, ValuesOnly };
+
 /// Backward liveness result: live register units (bit = unit) at block
 /// entry and exit.
 struct ProcLiveness {
@@ -304,7 +334,8 @@ struct ProcSummary {
   /// whose LDAH reads PV.
   bool ReadsPvAtEntry = false;
   /// Bit per register unit: the unit provably holds its entry value again
-  /// at every reachable RET (only callee-saved units are ever examined).
+  /// at every reachable RET (only callee-saved units are ever examined;
+  /// ValuesOnly analyses leave every bit set).
   /// Composed bottom-up: a call keeps a callee-saved register's fact only
   /// when the callee's bit is set. Computed-jump exits and invisible
   /// callees are assumed convention-abiding (bits stay set), so a cleared
@@ -337,11 +368,14 @@ struct ProcRound {
 //===----------------------------------------------------------------------===//
 
 /// Everything OmAnalysis knows about one SymbolicProgram. All vectors are
-/// indexed by procedure. Values and Live alias (never copy) the tables of
-/// SummaryCache entries, keeping them alive if the cache drops the entry.
+/// indexed by procedure. Cfgs, Values and Live alias (never copy) the
+/// tables of SummaryCache entries, keeping them alive if the cache drops
+/// the entry.
 struct ProgramAnalysis {
-  std::vector<Cfg> Cfgs;
+  AnalysisRequest Request = AnalysisRequest::Full;
+  std::vector<std::shared_ptr<const Cfg>> Cfgs;
   std::vector<std::shared_ptr<const ProcValues>> Values;
+  /// Empty for a ValuesOnly analysis.
   std::vector<std::shared_ptr<const ProcLiveness>> Live;
   std::vector<ProcSummary> Summaries;
   /// Combined summary applied at indirect call sites: the union of every
@@ -364,7 +398,7 @@ struct ProgramAnalysis {
 
   /// Live register units immediately after Insts[InstIdx] (i.e. the set a
   /// deletion of InstIdx must not be observed by). Walks the block
-  /// backward from its stored exit liveness.
+  /// backward from its stored exit liveness. Full analyses only.
   uint64_t liveAfter(const SymbolicProgram &SP, uint32_t ProcIdx,
                      uint32_t InstIdx) const;
 
@@ -382,10 +416,12 @@ struct ProgramAnalysis {
 /// round (Inputs — callee summaries plus the combined indirect summary).
 /// A hit is therefore exactly a round the fixpoint would recompute
 /// bit-identically, so no result depends on the cache's history, and a
-/// round whose inputs did not move is never re-evaluated. Mid-fixpoint
-/// rounds are stored stripped (no value table); the converged round per
-/// procedure is upgraded to carry block-entry values. Not thread-safe:
-/// one analysis at a time per cache.
+/// round whose inputs did not move is never re-evaluated. Full and
+/// ValuesOnly rounds never share an entry: the request is part of every
+/// round's Inputs (their PreservedSaved differs). Mid-fixpoint rounds are
+/// stored stripped (no value table); the converged round per procedure is
+/// upgraded to carry block-entry values. Cfgs are kept by procedure
+/// content key alone. Not thread-safe: one analysis at a time per cache.
 class SummaryCache {
 public:
   struct Key {
@@ -410,9 +446,15 @@ public:
     uint64_t LastUse = 0;
     size_t Bytes = 0;
   };
+  struct CfgEntry {
+    Cfg C;
+    uint64_t LastUse = 0;
+    size_t Bytes = 0;
+  };
   /// Work summed over every analyzeProgram call on this cache.
   struct Counters {
     uint64_t Runs = 0;            // analyzeProgram calls
+    uint64_t ValueRuns = 0;       // of which ValuesOnly
     uint64_t RoundsEvaluated = 0; // per-procedure rounds computed
     uint64_t RoundsReused = 0;    // fixpoint-round lookups served
   };
@@ -426,31 +468,48 @@ public:
   // State below is written only by analyzeProgram.
   std::unordered_map<Key, std::shared_ptr<RoundEntry>, KeyHasher> Rounds;
   std::unordered_map<Key, std::shared_ptr<LiveEntry>, KeyHasher> Liveness;
+  std::unordered_map<uint64_t, std::shared_ptr<CfgEntry>> Cfgs; // by Key::Proc
   uint64_t Gen = 0;
   size_t Bytes = 0;
 };
 
 /// Analyzes the whole program: CFGs and dominators per procedure, the
-/// interprocedural GP fixpoint, per-procedure value states and liveness.
-/// Deterministic for any pool size (per-index slots, procedure-order
-/// reductions, order-insensitive meets). Per-procedure rounds and liveness
-/// go through \p Cache by content key; the result is the same for any
-/// cache contents (keys cover every input the computations read).
+/// interprocedural GP fixpoint, per-procedure value states and (Full
+/// requests) the memory domain's summaries and liveness. Deterministic for
+/// any pool size (per-index slots, procedure-order reductions,
+/// order-insensitive meets). Cfgs, per-procedure rounds and liveness go
+/// through \p Cache by content key; the result is the same for any cache
+/// contents (keys cover every input the computations read).
 ProgramAnalysis analyzeProgram(const SymbolicProgram &SP, ThreadPool &Pool,
-                               SummaryCache &Cache);
+                               SummaryCache &Cache,
+                               AnalysisRequest Req = AnalysisRequest::Full);
 
 /// analyzeProgram with a fresh call-local cache, sharing no entry with any
-/// link: verifyDeletionProofs and the report-only lint re-derive with it.
-ProgramAnalysis analyzeProgram(const SymbolicProgram &SP, ThreadPool &Pool);
+/// link: verifyDeletionProofs, verifyMemBaseRegions and the report-only
+/// lint re-derive with it.
+ProgramAnalysis analyzeProgram(const SymbolicProgram &SP, ThreadPool &Pool,
+                               AnalysisRequest Req = AnalysisRequest::Full);
 
 /// Classifies every instruction's memory base register for the
 /// rescheduler's alias disambiguation: Global (a text/data-segment
 /// pointer: GP, a GAT-loaded address, or arithmetic on one), Stack
 /// (SP-derived) or Unknown. Non-memory instructions get Unknown. Pure per
-/// procedure.
+/// procedure; reads only values, so a ValuesOnly \p PA suffices.
 std::vector<sched::MemRegion> memBaseRegions(const SymbolicProgram &SP,
                                              const ProgramAnalysis &PA,
                                              uint32_t ProcIdx);
+
+namespace detail {
+
+/// Re-runs procedure \p ProcIdx's fixpoint round against \p PA's
+/// converged summaries into \p Out, on the calling thread's reused
+/// scratch: the routine every analyzeProgram round runs. Once the scratch
+/// and \p Out have grown to the procedure, a repeat allocates nothing
+/// (pinned by analysis_alloc_test).
+void evaluateRound(const SymbolicProgram &SP, const ProgramAnalysis &PA,
+                   uint32_t ProcIdx, AnalysisRequest Req, ProcRound &Out);
+
+} // namespace detail
 
 //===----------------------------------------------------------------------===//
 // Lint

@@ -103,7 +103,7 @@ private:
   Error applyRewrites(const DataLayout &DL);
 
   void deleteNullified();
-  void reschedule();
+  Error reschedule();
   void instrumentProcedureCounts();
   Result<Image> assemble(const DataLayout &DL);
   void finalizeStats(const DataLayout &DL);
@@ -688,13 +688,28 @@ void Emitter::deleteNullified() {
   Ctx.invalidate();
 }
 
-void Emitter::reschedule() {
+Error Emitter::reschedule() {
   // With the dataflow live, classify every memory base register (GAT/data
   // vs stack) against the post-deletion program; the scheduler then skips
   // ordering edges between proven-disjoint accesses. Without it every
-  // access is Unknown, the historical conservative ordering.
+  // access is Unknown, the historical conservative ordering. Only values
+  // feed the classification, so the analysis skips the memory domain and
+  // liveness. It runs here, after deleteNullified cleared SP.Lits, so a
+  // JSR the relaxation reverted reads as an indirect call; the emitted
+  // images were scheduled against exactly that view.
   const analysis::ProgramAnalysis *PA =
-      Opts.Analysis ? &Ctx.program() : nullptr;
+      Opts.Analysis ? &Ctx.program(analysis::AnalysisRequest::ValuesOnly)
+                    : nullptr;
+  if (PA && Opts.Verify) {
+    auto Start = std::chrono::steady_clock::now();
+    Error E = verifyMemBaseRegions(SP, *PA, Pool);
+    Stats.Seconds.Verify +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      Start)
+            .count();
+    if (E)
+      return E;
+  }
 
   // Scheduling is a pure function of each procedure's instructions, so
   // procedures reschedule independently; freed-pair counts reduce in
@@ -735,6 +750,7 @@ void Emitter::reschedule() {
   for (uint64_t Count : FreedInProc)
     Stats.SchedMemDepsFreed += Count;
   Ctx.invalidate();
+  return Error::success();
 }
 
 void Emitter::instrumentProcedureCounts() {
@@ -1206,8 +1222,13 @@ Result<Image> Emitter::run() {
       return Result<Image>::failure(E.message());
     if (Opts.Reschedule) {
       MotionStart = std::chrono::steady_clock::now();
-      reschedule();
+      const double VerifyBefore = Stats.Seconds.Verify;
+      Error SchedErr = reschedule();
       motionSeconds();
+      // The --verify region check inside counts as verify time only.
+      Stats.Seconds.CodeMotion -= Stats.Seconds.Verify - VerifyBefore;
+      if (SchedErr)
+        return Result<Image>::failure(SchedErr.message());
       if (Error E = checkStage("reschedule"))
         return Result<Image>::failure(E.message());
     }

@@ -164,6 +164,7 @@ Result<OmResult> om64::om::runPipeline(const std::vector<obj::ObjectFile> &Objs,
       return Result<OmResult>::failure(E.message());
   }
   Out.Stats.AnalysisRuns = SC.Totals.Runs - Before.Runs;
+  Out.Stats.AnalysisValueRuns = SC.Totals.ValueRuns - Before.ValueRuns;
   Out.Stats.AnalysisRoundsEvaluated =
       SC.Totals.RoundsEvaluated - Before.RoundsEvaluated;
   Out.Stats.AnalysisRoundsReused =

@@ -28,6 +28,13 @@ namespace om {
 /// can consume facts derived from a shape that no longer exists (the same
 /// bug class OmVerify exists for, closed structurally). Through the link's
 /// SummaryCache, a recompute re-derives only what the mutation moved.
+///
+/// Which run computes what, in an OM-full link with --analysis: the lint
+/// (--lint) and deletion Passes A and B ask for Full analyses (they read
+/// liveness and, through the lint, the memory domain); the rescheduler,
+/// after deleteNullified, asks for ValuesOnly (memBaseRegions reads only
+/// values). A Full analysis cached for the current epoch also serves a
+/// ValuesOnly request.
 class OmContext {
 public:
   OmContext(SymbolicProgram &SP, ThreadPool &Pool, analysis::SummaryCache &SC)
@@ -36,10 +43,14 @@ public:
   /// Marks every cached analysis stale. Cheap; call after any mutation.
   void invalidate() { ++Epoch; }
 
-  /// The analysis of the current program, recomputing if stale.
-  const analysis::ProgramAnalysis &program() {
-    if (!Cached || CachedEpoch != Epoch) {
-      Cached.emplace(analysis::analyzeProgram(SP, Pool, SC));
+  /// The analysis of the current program, recomputing if stale or if the
+  /// cached one computed less than \p Req asks for.
+  const analysis::ProgramAnalysis &
+  program(analysis::AnalysisRequest Req = analysis::AnalysisRequest::Full) {
+    if (!Cached || CachedEpoch != Epoch ||
+        (Req == analysis::AnalysisRequest::Full &&
+         Cached->Request != analysis::AnalysisRequest::Full)) {
+      Cached.emplace(analysis::analyzeProgram(SP, Pool, SC, Req));
       CachedEpoch = Epoch;
     }
     return *Cached;

@@ -277,7 +277,7 @@ void runAnalysisDeletions(SymbolicProgram &SP, OmStats &Stats,
     const analysis::ProgramAnalysis &PA = Ctx.program();
     Pool.parallelFor(NumProcs, [&](size_t ProcIdx) {
       SymProc &Proc = SP.Procs[ProcIdx];
-      const analysis::Cfg &Cfg = PA.Cfgs[ProcIdx];
+      const analysis::Cfg &Cfg = *PA.Cfgs[ProcIdx];
       for (size_t Idx = 0; Idx < Proc.Insts.size(); ++Idx) {
         SymInst &SI = Proc.Insts[Idx];
         if (SI.Nullified)

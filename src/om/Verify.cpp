@@ -443,6 +443,48 @@ Error om64::om::verifyDeletionProofs(const SymbolicProgram &SP,
   return Error::failure("OM deletion-proof check failed:\n" + Diags.render());
 }
 
+Error om64::om::verifyMemBaseRegions(const SymbolicProgram &SP,
+                                     const analysis::ProgramAnalysis &PA,
+                                     ThreadPool &Pool) {
+  analysis::ProgramAnalysis Fresh = analysis::analyzeProgram(SP, Pool);
+  auto name = [](sched::MemRegion R) {
+    switch (R) {
+    case sched::MemRegion::Global:
+      return "global";
+    case sched::MemRegion::Stack:
+      return "stack";
+    default:
+      return "unknown";
+    }
+  };
+  std::vector<DiagnosticEngine> PerProc(SP.Procs.size());
+  Pool.parallelFor(SP.Procs.size(), [&](size_t P) {
+    const uint32_t ProcIdx = static_cast<uint32_t>(P);
+    std::vector<sched::MemRegion> Got =
+        analysis::memBaseRegions(SP, PA, ProcIdx);
+    std::vector<sched::MemRegion> Want =
+        analysis::memBaseRegions(SP, Fresh, ProcIdx);
+    for (size_t I = 0; I < Got.size(); ++I) {
+      if (Got[I] == Want[I])
+        continue;
+      SourceLoc Loc;
+      Loc.Line = static_cast<uint32_t>(I + 1);
+      PerProc[P].error("sched-regions:" + SP.Procs[P].Name, Loc,
+                       formatString("%s: base region %s, but a fresh full "
+                                    "analysis says %s",
+                                    isa::opcodeName(SP.Procs[P].Insts[I].I.Op),
+                                    name(Got[I]), name(Want[I])));
+    }
+  });
+  DiagnosticEngine Diags;
+  for (DiagnosticEngine &E : PerProc)
+    Diags.append(std::move(E));
+  if (!Diags.hasErrors())
+    return Error::success();
+  return Error::failure("OM scheduler-region check failed:\n" +
+                        Diags.render());
+}
+
 //===----------------------------------------------------------------------===//
 // Post-assembly BSR range audit.
 //===----------------------------------------------------------------------===//

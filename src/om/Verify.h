@@ -46,6 +46,10 @@
 namespace om64 {
 namespace om {
 
+namespace analysis {
+struct ProgramAnalysis;
+} // namespace analysis
+
 /// Checks the structural invariants of \p SP and appends one diagnostic per
 /// violation to \p Diags (buffer name "<stage>:<procedure>", line = 1-based
 /// instruction index). Returns the number of violations found.
@@ -88,6 +92,17 @@ Error verifyStage(const SymbolicProgram &SP, const std::string &Stage,
 /// result must be a subset, else one of the two is wrong. Run after the
 /// call-transform stage when OmOptions::Analysis is on.
 Error verifyDeletionProofs(const SymbolicProgram &SP, ThreadPool &Pool);
+
+/// Checks the rescheduler's memory base regions: memBaseRegions over
+/// \p PA (the rescheduler's ValuesOnly analysis of \p SP) must equal
+/// memBaseRegions over a fresh Full analysis with its own call-local cache,
+/// on every instruction. A mismatch fails with one diagnostic per
+/// instruction, naming the procedure ("sched-regions:<proc>") and the
+/// 1-based instruction index. Runs before rescheduling under
+/// OmOptions::Verify when the analysis feeds the scheduler.
+Error verifyMemBaseRegions(const SymbolicProgram &SP,
+                           const analysis::ProgramAnalysis &PA,
+                           ThreadPool &Pool);
 
 /// Post-assembly range audit for the worst-case-then-shrink BSR relaxation
 /// (Emit.cpp): decodes every text word of the *final* image and, for each

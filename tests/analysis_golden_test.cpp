@@ -25,11 +25,18 @@
 /// warm cache, compare with a fresh cache), and re-analyzing an unchanged
 /// program evaluates no round at all.
 ///
+/// It also holds the oracle for the rescheduler's ValuesOnly analysis: on
+/// the same corpus, its values and memBaseRegions must equal a Full
+/// analysis's, both on the lifted programs and (through the --verify
+/// check in the rescheduler) on the post-deletion programs the scheduler
+/// actually classifies.
+///
 //===----------------------------------------------------------------------===//
 
 #include "megagen/MegaGen.h"
 #include "om/Analysis.h"
 #include "om/OmImpl.h"
+#include "om/Verify.h"
 #include "support/ContentHash.h"
 #include "support/Format.h"
 
@@ -52,9 +59,9 @@ uint64_t digestOf(const ProgramAnalysis &PA) {
     H.addU64(G.Groups);
   };
   H.addU64(PA.Cfgs.size());
-  for (const Cfg &C : PA.Cfgs) {
-    H.addU64(C.Blocks.size());
-    for (const CfgBlock &B : C.Blocks) {
+  for (const std::shared_ptr<const Cfg> &C : PA.Cfgs) {
+    H.addU64(C->Blocks.size());
+    for (const CfgBlock &B : C->Blocks) {
       H.addU32(B.Begin);
       H.addU32(B.End);
     }
@@ -281,6 +288,131 @@ TEST(AnalysisGoldenTest, UnchangedProgramEvaluatesNoRound) {
         << "-j" << Jobs << ": a second call re-evaluated rounds";
     EXPECT_GT(Cache.Totals.RoundsReused, First.RoundsReused) << "-j" << Jobs;
   }
+}
+
+/// The ValuesOnly analysis of \p SP must compute the Full analysis's
+/// values and value-side summaries, and so the same memBaseRegions on
+/// every memory instruction, sharing no cache entry with it.
+void expectValuesOnlyMatchesFull(const std::string &Name,
+                                 const SymbolicProgram &SP,
+                                 ThreadPool &Pool) {
+  SummaryCache Shared;
+  const ProgramAnalysis Full = analyzeProgram(SP, Pool, Shared);
+  const ProgramAnalysis Values =
+      analyzeProgram(SP, Pool, Shared, AnalysisRequest::ValuesOnly);
+  EXPECT_EQ(Shared.Totals.ValueRuns, 1u);
+  EXPECT_TRUE(Values.Live.empty()) << Name;
+  ASSERT_EQ(Values.Values.size(), Full.Values.size()) << Name;
+  size_t MemInsts = 0;
+  for (uint32_t P = 0; P < SP.Procs.size(); ++P) {
+    const ProcSummary &F = Full.Summaries[P], &V = Values.Summaries[P];
+    EXPECT_TRUE(F.EntryGp == V.EntryGp && F.ExitGp == V.ExitGp &&
+                F.Returns == V.Returns && F.ClobbersPv == V.ClobbersPv &&
+                F.ReadsPvAtEntry == V.ReadsPvAtEntry)
+        << Name << ": summary of " << SP.Procs[P].Name;
+    EXPECT_EQ(V.PreservedSaved, ~0ull) << Name << ": " << SP.Procs[P].Name;
+    const std::vector<ValueState> &FIn = Full.Values[P]->In;
+    const std::vector<ValueState> &VIn = Values.Values[P]->In;
+    ASSERT_EQ(FIn.size(), VIn.size()) << Name << ": " << SP.Procs[P].Name;
+    for (size_t B = 0; B < FIn.size(); ++B)
+      EXPECT_TRUE(FIn[B].Unreachable == VIn[B].Unreachable &&
+                  FIn[B].R == VIn[B].R && FIn[B].Gp == VIn[B].Gp)
+          << Name << ": " << SP.Procs[P].Name << " block " << B;
+    const std::vector<sched::MemRegion> Want = memBaseRegions(SP, Full, P);
+    const std::vector<sched::MemRegion> Got = memBaseRegions(SP, Values, P);
+    for (uint32_t I = 0; I < SP.Procs[P].Insts.size(); ++I) {
+      const isa::Opcode Op = SP.Procs[P].Insts[I].I.Op;
+      if (!isa::isLoad(Op) && !isa::isStore(Op))
+        continue;
+      ++MemInsts;
+      EXPECT_EQ(Got[I], Want[I])
+          << Name << ": " << SP.Procs[P].Name << " instruction " << I + 1;
+    }
+  }
+  EXPECT_GT(MemInsts, 0u) << Name;
+  EXPECT_EQ(Values.IndirectExitGp, Full.IndirectExitGp) << Name;
+  EXPECT_EQ(Values.ReachableGroups, Full.ReachableGroups) << Name;
+}
+
+/// Links \p Objs at -O full --sched --analysis --verify: the rescheduler
+/// compares its ValuesOnly regions with a fresh Full analysis of the
+/// post-deletion program on every instruction.
+void expectVerifiedSchedLink(const std::string &Name,
+                             const std::vector<obj::ObjectFile> &Objs) {
+  OmOptions Opts;
+  Opts.Level = OmLevel::Full;
+  Opts.Reschedule = true;
+  Opts.Analysis = true;
+  Opts.Verify = true;
+  Opts.Jobs = 1;
+  Result<OmResult> R = optimize(Objs, Opts);
+  ASSERT_TRUE(bool(R)) << Name << ": " << R.message();
+  EXPECT_EQ(R->Stats.AnalysisValueRuns, 1u) << Name;
+}
+
+TEST(ValuesOnlyOracleTest, WorkloadsInBothLinkSets) {
+  ThreadPool Pool(4);
+  for (const std::string &Name : wl::workloadNames()) {
+    Result<wl::BuiltWorkload> W = wl::buildWorkload(Name);
+    ASSERT_TRUE(bool(W)) << Name << ": " << W.message();
+    for (wl::CompileMode Mode : {wl::CompileMode::Each, wl::CompileMode::All}) {
+      const std::string Set =
+          Name + (Mode == wl::CompileMode::Each ? "/each" : "/all");
+      expectValuesOnlyMatchesFull(Set, liftOrFail(W->linkSet(Mode), Pool),
+                                  Pool);
+      expectVerifiedSchedLink(Set, W->linkSet(Mode));
+    }
+  }
+}
+
+TEST(ValuesOnlyOracleTest, MegagenShapes) {
+  ThreadPool Pool(4);
+  for (megagen::CallShape Shape :
+       {megagen::CallShape::DeepChains, megagen::CallShape::WideFanout,
+        megagen::CallShape::HotLoops, megagen::CallShape::Mixed}) {
+    megagen::MegaProgram MP = megagen::generate(smallSpec(Shape));
+    const std::string Name =
+        std::string("megagen/") + megagen::shapeName(Shape);
+    expectValuesOnlyMatchesFull(Name, liftOrFail(MP.Objects, Pool), Pool);
+    expectVerifiedSchedLink(Name, MP.Objects);
+  }
+}
+
+TEST(ValuesOnlyOracleTest, VerifyNamesTheMismatchedInstruction) {
+  // Forget that SP is a stack pointer in one procedure's stored values:
+  // its stack accesses classify Unknown, which the fresh Full analysis
+  // contradicts, instruction by instruction.
+  ThreadPool Pool(1);
+  megagen::MegaProgram MP =
+      megagen::generate(smallSpec(megagen::CallShape::Mixed));
+  SymbolicProgram SP = liftOrFail(MP.Objects, Pool);
+  ProgramAnalysis PA =
+      analyzeProgram(SP, Pool, AnalysisRequest::ValuesOnly);
+  ASSERT_FALSE(bool(verifyMemBaseRegions(SP, PA, Pool)));
+  uint32_t Proc = ~0u, Inst = 0;
+  for (uint32_t P = 0; P < SP.Procs.size() && Proc == ~0u; ++P) {
+    std::vector<sched::MemRegion> R = memBaseRegions(SP, PA, P);
+    for (uint32_t I = 0; I < R.size() && Proc == ~0u; ++I)
+      if (R[I] == sched::MemRegion::Stack) {
+        Proc = P;
+        Inst = I;
+      }
+  }
+  ASSERT_NE(Proc, ~0u) << "no stack access to misclassify";
+  auto Broken = std::make_shared<ProcValues>(*PA.Values[Proc]);
+  for (ValueState &S : Broken->In)
+    if (!S.Unreachable)
+      S.R[isa::intUnit(isa::SP)] = AbsVal::unknown();
+  PA.Values[Proc] = Broken;
+  Error E = verifyMemBaseRegions(SP, PA, Pool);
+  ASSERT_TRUE(bool(E));
+  const std::string Where = formatString(
+      "sched-regions:%s:%u:", SP.Procs[Proc].Name.c_str(), Inst + 1);
+  EXPECT_NE(E.message().find(Where), std::string::npos) << E.message();
+  EXPECT_NE(E.message().find("base region unknown, but a fresh full "
+                             "analysis says stack"),
+            std::string::npos)
+      << E.message();
 }
 
 } // namespace

@@ -13,10 +13,15 @@
 ///   * coverage: the dataflow must strictly beat the pattern transforms
 ///     (at least one extra deletion) on a majority of the suite,
 ///   * correctness: differential execution at every OM level with the
-///     analysis enabled, the deletion-proof verify stage green.
+///     analysis enabled, the deletion-proof verify stage green,
+///   * the rescheduler's ValuesOnly analysis on the full megagen program:
+///     at -j1 and -j4 its memory base regions match a fresh Full analysis
+///     on every instruction (the --verify check), and the two images are
+///     byte-identical.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "megagen/MegaGen.h"
 #include "om/Verify.h"
 
 #include "TestUtil.h"
@@ -105,6 +110,30 @@ TEST(AnalysisSlowTest, DifferentialExecutionWithAnalysis) {
     Result<DifferentialReport> Rep =
         runDifferential(W->linkSet(wl::CompileMode::Each), Base);
     EXPECT_TRUE(bool(Rep)) << Name << ": " << Rep.message();
+  }
+}
+
+TEST(AnalysisSlowTest, ValuesOnlyRegionsMatchFullOnMega) {
+  const megagen::MegaProgram MP = megagen::generate(megagen::MegaSpec());
+  std::vector<uint8_t> Serial;
+  for (unsigned Jobs : {1u, 4u}) {
+    OmOptions Opts;
+    Opts.Level = OmLevel::Full;
+    Opts.Reschedule = true;
+    Opts.AlignLoopTargets = true; // omlink --sched
+    Opts.Analysis = true;
+    Opts.Verify = true;
+    Opts.Jobs = Jobs;
+    Result<OmResult> R = optimize(MP.Objects, Opts);
+    ASSERT_TRUE(bool(R)) << "-j" << Jobs << ": " << R.message();
+    EXPECT_EQ(R->Stats.AnalysisRuns, 3u) << "-j" << Jobs;
+    EXPECT_EQ(R->Stats.AnalysisValueRuns, 1u) << "-j" << Jobs;
+    EXPECT_EQ(R->Stats.SchedMemDepsFreed, 7134u) << "-j" << Jobs;
+    std::vector<uint8_t> Bytes = R->Image.serialize();
+    if (Jobs == 1)
+      Serial = std::move(Bytes);
+    else
+      EXPECT_TRUE(Bytes == Serial) << "-j4 image differs from -j1";
   }
 }
 

@@ -367,10 +367,12 @@ TEST(AnalysisTest, WorkCountersAreIdenticalAcrossJobCounts) {
   const OmStats &S = Serial->Stats;
   // Lint, deletion Pass A, Pass B, and the rescheduler's classification.
   EXPECT_EQ(S.AnalysisRuns, 4u);
+  EXPECT_EQ(S.AnalysisValueRuns, 1u); // the rescheduler's
   EXPECT_GT(S.AnalysisRoundsEvaluated, 0u);
   // Later runs reuse the rounds of procedures the passes left unchanged.
   EXPECT_GT(S.AnalysisRoundsReused, 0u);
   EXPECT_EQ(Par->Stats.AnalysisRuns, S.AnalysisRuns);
+  EXPECT_EQ(Par->Stats.AnalysisValueRuns, S.AnalysisValueRuns);
   EXPECT_EQ(Par->Stats.AnalysisRoundsEvaluated, S.AnalysisRoundsEvaluated);
   EXPECT_EQ(Par->Stats.AnalysisRoundsReused, S.AnalysisRoundsReused);
 
@@ -380,6 +382,7 @@ TEST(AnalysisTest, WorkCountersAreIdenticalAcrossJobCounts) {
   Result<OmResult> Plain = optimize(Objs, Opts);
   ASSERT_TRUE(bool(Plain)) << Plain.message();
   EXPECT_EQ(Plain->Stats.AnalysisRuns, 0u);
+  EXPECT_EQ(Plain->Stats.AnalysisValueRuns, 0u);
   EXPECT_EQ(Plain->Stats.AnalysisRoundsEvaluated, 0u);
   EXPECT_EQ(Plain->Stats.AnalysisRoundsReused, 0u);
 }

@@ -270,6 +270,58 @@ TEST(ObjectFileTest, RejectsHostileRelocations) {
   expectRejected(BadSymbol, "refquad symbol out of range");
 }
 
+TEST(ObjectFileTest, RejectsRelocationCollisions) {
+  // The lift gives each instruction word the role of its one relocation
+  // and each literal the load of its one LITERAL. Two LITERALs on one
+  // word once left a literal with uses but no load, and the lift then
+  // read symbol ~0u.
+  auto withWords = [](unsigned Extra) {
+    ObjectFile O = sampleObject();
+    for (unsigned I = 0; I < Extra * 4; ++I)
+      O.Text.push_back(O.Text[I % 4]);
+    O.Procs[0].TextSize += Extra * 4;
+    O.Symbols[0].Size += Extra * 4;
+    return O;
+  };
+  auto addReloc = [](ObjectFile &O, RelocKind Kind, uint64_t Offset,
+                     uint32_t LiteralId) {
+    Reloc R;
+    R.Kind = Kind;
+    R.Offset = Offset;
+    R.LiteralId = LiteralId;
+    O.Relocs.push_back(R);
+  };
+  ObjectFile TwoOnOneWord = withWords(0);
+  addReloc(TwoOnOneWord, RelocKind::Literal, 0, 8);
+  expectRejected(TwoOnOneWord, "reloc LITERAL at offset 0 shares its "
+                               "instruction with another relocation");
+  ObjectFile OnGpPairLow = withWords(0);
+  addReloc(OnGpPairLow, RelocKind::LituseBase, 12, 7);
+  expectRejected(OnGpPairLow, "reloc LITUSE_BASE at offset 12 shares its "
+                              "instruction with another relocation");
+  ObjectFile SecondLoad = withWords(1);
+  addReloc(SecondLoad, RelocKind::Literal, 16, 7);
+  expectRejected(SecondLoad, "literal id 7 has a second LITERAL at offset 16 "
+                             "in its procedure");
+
+  // The same literal id in another procedure is another literal.
+  ObjectFile OtherProc = withWords(1);
+  OtherProc.Procs[0].TextSize = 16;
+  OtherProc.Symbols[0].Size = 16;
+  Symbol Helper = OtherProc.Symbols[0];
+  Helper.Name = "demo.helper";
+  Helper.Offset = 16;
+  Helper.Size = 4;
+  OtherProc.Symbols.push_back(Helper);
+  ProcDesc D = OtherProc.Procs[0];
+  D.SymbolIndex = static_cast<uint32_t>(OtherProc.Symbols.size() - 1);
+  D.TextOffset = 16;
+  D.TextSize = 4;
+  OtherProc.Procs.push_back(D);
+  addReloc(OtherProc, RelocKind::Literal, 16, 7);
+  EXPECT_TRUE(bool(ObjectFile::deserialize(OtherProc.serialize())));
+}
+
 TEST(ObjectFileTest, FindSymbol) {
   ObjectFile O = sampleObject();
   EXPECT_EQ(O.findSymbol("demo.counter"), 1u);

@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -396,6 +397,11 @@ protected:
       Runner.join();
     }
     EXPECT_FALSE(bool(RunError)) << RunError.message();
+    // A failing test keeps its directory for inspection.
+    if (!HasFailure()) {
+      std::error_code EC;
+      std::filesystem::remove_all(Dir, EC);
+    }
   }
 
   std::string Dir, Socket;

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <numeric>
 
 #include <dirent.h>
@@ -400,6 +401,13 @@ protected:
   void SetUp() override {
     Dir = ::testing::TempDir() + "om64_atomic_XXXXXX";
     ASSERT_NE(mkdtemp(Dir.data()), nullptr);
+  }
+  /// A failing test keeps its directory for inspection.
+  void TearDown() override {
+    if (!HasFailure()) {
+      std::error_code EC;
+      std::filesystem::remove_all(Dir, EC);
+    }
   }
   /// Entries in Dir other than "." and "..".
   std::vector<std::string> entries() const {

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -198,6 +199,14 @@ export func main(): int {
                          Out),
               0)
         << Out;
+  }
+
+  /// A failing test keeps its directory for inspection.
+  void TearDown() override {
+    if (!HasFailure()) {
+      std::error_code EC;
+      std::filesystem::remove_all(Dir, EC);
+    }
   }
 
   std::string allObjects() const {
@@ -490,6 +499,8 @@ TEST_F(ToolchainTest, AnalysisFlagDeletesAndReports) {
   EXPECT_NE(Out.find("analysis_dead_loads_deleted"), std::string::npos);
   // Deletion Pass A and Pass B each analyze the program once.
   EXPECT_NE(Out.find("\"analysis_runs\": 2,"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("\"analysis_value_runs\": 0,"), std::string::npos)
+      << Out;
   EXPECT_NE(Out.find("\"analysis_rounds_evaluated\": "), std::string::npos);
   EXPECT_NE(Out.find("\"analysis_rounds_reused\": "), std::string::npos);
   EXPECT_EQ(runCommandErr(toolsDir() + "/omlink -O full --analysis --stats "
@@ -498,6 +509,16 @@ TEST_F(ToolchainTest, AnalysisFlagDeletesAndReports) {
             0)
       << Out;
   EXPECT_NE(Out.find("  dataflow       2 run(s), "), std::string::npos) << Out;
+  // With --sched the rescheduler adds its values-only run.
+  EXPECT_EQ(runCommandErr(toolsDir() + "/omlink -O full --sched --analysis "
+                              "--stats -o " + Dir + "/ana.aaxe " +
+                              allObjects(),
+                          Out),
+            0)
+      << Out;
+  EXPECT_NE(Out.find("  dataflow       3 run(s), 1 values-only; "),
+            std::string::npos)
+      << Out;
   // Program behaviour is unchanged by the extra deletions.
   EXPECT_EQ(runCommand(toolsDir() + "/aaxrun " + Dir + "/ana.aaxe", Out), 6);
   EXPECT_EQ(Out, "30\n");
@@ -1019,6 +1040,61 @@ TEST_F(ToolchainTest, HostileRelocationsFailWithDiagnostic) {
           << Cmd << Out;
       EXPECT_NE(Out.find(E.Diagnostic), std::string::npos) << Cmd << Out;
     }
+  }
+}
+
+TEST_F(ToolchainTest, LiteralCollisionFailsWithDiagnostic) {
+  // A LITERAL moved onto an instruction that already carries another
+  // LITERAL of its procedure: the lift gave the word one role, so the
+  // moved literal kept its uses but lost its load, and every OM level and
+  // the linter read a symbol table entry at ~0u (SIGSEGV). Every reader
+  // must reject the module with a diagnostic and exit 1.
+  std::string Out;
+  const std::string Gen = Dir + "/gen", Bad = Dir + "/bad";
+  ASSERT_EQ(runCommand("mkdir -p " + Gen + " " + Bad, Out), 0);
+  ASSERT_EQ(runCommand(toolsDir() + "/megagen --modules 2 --procs 4 "
+                                    "--insts 2000 -o " + Gen,
+                       Out),
+            0)
+      << Out;
+  ASSERT_EQ(runCommand("cp " + Gen + "/mg0001.aaxo " + Bad, Out), 0);
+  std::vector<char> Bytes = readFile(Gen + "/mg0000.aaxo");
+  std::vector<std::pair<uint64_t, uint64_t>> Procs;
+  std::vector<RelocRecord> Relocs = relocRecords(Bytes, Procs);
+  auto procOf = [&Procs](uint64_t Off) {
+    for (size_t P = 0; P < Procs.size(); ++P)
+      if (Off >= Procs[P].first && Off - Procs[P].first < Procs[P].second)
+        return P;
+    return Procs.size();
+  };
+  enum : uint8_t { Literal = 0 };
+  const RelocRecord *Kept = nullptr, *Moved = nullptr;
+  for (const RelocRecord &A : Relocs)
+    for (const RelocRecord &B : Relocs)
+      if (!Kept && A.Kind == Literal && B.Kind == Literal &&
+          A.LiteralId != B.LiteralId && A.Offset != B.Offset &&
+          procOf(A.Offset) == procOf(B.Offset)) {
+        Kept = &A;
+        Moved = &B;
+      }
+  ASSERT_NE(Kept, nullptr) << "mg0000.aaxo has no procedure with two literals";
+  std::memcpy(Bytes.data() + Moved->At + 2, &Kept->Offset, 8);
+  writeFile(Bad + "/mg0000.aaxo", Bytes);
+  const std::string Diagnostic =
+      "reloc LITERAL at offset " + std::to_string(Kept->Offset) +
+      " shares its instruction with another relocation";
+  for (const std::string &Cmd :
+       {"/omlink -O none -o " + Dir + "/h.aaxe ",
+        "/omlink -O simple -o " + Dir + "/h.aaxe ",
+        "/omlink -O full --sched --analysis -o " + Dir + "/h.aaxe ",
+        "/omlink --standard -o " + Dir + "/h.aaxe ",
+        std::string("/aaxlint ")}) {
+    EXPECT_EQ(runCommandErr(toolsDir() + Cmd + Bad + "/mg0000.aaxo " + Bad +
+                                "/mg0001.aaxo",
+                            Out),
+              1)
+        << Cmd << Out;
+    EXPECT_NE(Out.find(Diagnostic), std::string::npos) << Cmd << Out;
   }
 }
 

@@ -114,6 +114,7 @@ static std::string statsJson(const om::OmStats &S, om::OmLevel Level) {
   U("analysis_dead_loads_deleted", S.AnalysisDeadLoadsDeleted);
   U("sched_mem_deps_freed", S.SchedMemDepsFreed);
   U("analysis_runs", S.AnalysisRuns);
+  U("analysis_value_runs", S.AnalysisValueRuns);
   U("analysis_rounds_evaluated", S.AnalysisRoundsEvaluated);
   U("analysis_rounds_reused", S.AnalysisRoundsReused);
   J += "  \"stage_seconds\": {\n";
@@ -375,13 +376,14 @@ int main(int argc, char **argv) {
         std::fprintf(stderr,
                      "  analysis       %llu GP pair(s), %llu PV load(s), "
                      "%llu dead load(s) deleted; %llu sched dep(s) freed\n"
-                     "  dataflow       %llu run(s), %llu round(s) "
-                     "evaluated, %llu reused\n",
+                     "  dataflow       %llu run(s), %llu values-only; "
+                     "%llu round(s) evaluated, %llu reused\n",
                      (unsigned long long)S.AnalysisGpPairsDeleted,
                      (unsigned long long)S.AnalysisPvLoadsDeleted,
                      (unsigned long long)S.AnalysisDeadLoadsDeleted,
                      (unsigned long long)S.SchedMemDepsFreed,
                      (unsigned long long)S.AnalysisRuns,
+                     (unsigned long long)S.AnalysisValueRuns,
                      (unsigned long long)S.AnalysisRoundsEvaluated,
                      (unsigned long long)S.AnalysisRoundsReused);
       if (Opts.HotColdLayout)
