@@ -53,7 +53,7 @@ struct OperateEncoding {
 };
 
 /// Returns the (primary, function) encoding for operate-format opcodes.
-OperateEncoding operateEncoding(Opcode Op) {
+constexpr OperateEncoding operateEncoding(Opcode Op) {
   switch (Op) {
   case Opcode::Addq:   return {RawIntArith, 0x20};
   case Opcode::S4addq: return {RawIntArith, 0x22};
@@ -90,25 +90,50 @@ OperateEncoding operateEncoding(Opcode Op) {
   }
 }
 
-/// Maps a (primary, function) pair back to an operate opcode, or nullopt.
-std::optional<Opcode> decodeOperate(uint32_t Raw, uint32_t Func) {
-  // Search the table opcode-by-opcode; the set is small and decode speed is
-  // dominated by the simulator's decoded-instruction cache anyway.
-  static const Opcode OperateOps[] = {
-      Opcode::Addq,   Opcode::S4addq, Opcode::Subq,   Opcode::S8addq,
-      Opcode::Cmpult, Opcode::Cmpeq,  Opcode::Cmplt,  Opcode::Cmple,
-      Opcode::And,    Opcode::Bic,    Opcode::Bis,    Opcode::Ornot,
-      Opcode::Xor,    Opcode::Srl,    Opcode::Sll,    Opcode::Sra,
-      Opcode::Mulq,   Opcode::Itoft,  Opcode::Ftoit,  Opcode::Addt,
-      Opcode::Subt,   Opcode::Mult,   Opcode::Divt,   Opcode::Cmpteq,
-      Opcode::Cmptlt, Opcode::Cmptle, Opcode::Cvtqt,  Opcode::Cvttq,
-      Opcode::Cpys};
+/// Every operate-format opcode.
+constexpr Opcode OperateOps[] = {
+    Opcode::Addq,   Opcode::S4addq, Opcode::Subq,   Opcode::S8addq,
+    Opcode::Cmpult, Opcode::Cmpeq,  Opcode::Cmplt,  Opcode::Cmple,
+    Opcode::And,    Opcode::Bic,    Opcode::Bis,    Opcode::Ornot,
+    Opcode::Xor,    Opcode::Srl,    Opcode::Sll,    Opcode::Sra,
+    Opcode::Mulq,   Opcode::Itoft,  Opcode::Ftoit,  Opcode::Addt,
+    Opcode::Subt,   Opcode::Mult,   Opcode::Divt,   Opcode::Cmpteq,
+    Opcode::Cmptlt, Opcode::Cmptle, Opcode::Cvtqt,  Opcode::Cvttq,
+    Opcode::Cpys};
+
+/// The operate primaries are RawIntArith..RawFpOp; OperateTable holds one
+/// row of 128 function codes per primary in that span, built at compile
+/// time from operateEncoding. NoOperate marks unassigned pairs.
+constexpr uint32_t FirstOperateRaw = RawIntArith;
+constexpr uint32_t NumOperateRows = RawFpOp - RawIntArith + 1;
+constexpr uint8_t NoOperate = 0xFF;
+static_assert(NumOpcodes < NoOperate, "opcode values must fit below 0xFF");
+
+struct OperateTable {
+  uint8_t Op[NumOperateRows][128];
+};
+
+constexpr OperateTable buildOperateTable() {
+  OperateTable T{};
+  for (auto &Row : T.Op)
+    for (uint8_t &Cell : Row)
+      Cell = NoOperate;
   for (Opcode Op : OperateOps) {
     OperateEncoding E = operateEncoding(Op);
-    if (E.RawOpcode == Raw && E.Func == Func)
-      return Op;
+    T.Op[E.RawOpcode - FirstOperateRaw][E.Func] = static_cast<uint8_t>(Op);
   }
-  return std::nullopt;
+  return T;
+}
+constexpr OperateTable Operates = buildOperateTable();
+
+/// Maps a (primary, function) pair back to an operate opcode, or nullopt.
+std::optional<Opcode> decodeOperate(uint32_t Raw, uint32_t Func) {
+  if (Raw - FirstOperateRaw >= NumOperateRows || Func >= 128)
+    return std::nullopt;
+  uint8_t Op = Operates.Op[Raw - FirstOperateRaw][Func];
+  if (Op == NoOperate)
+    return std::nullopt;
+  return static_cast<Opcode>(Op);
 }
 
 int32_t signExtend(uint32_t Value, unsigned Bits) {

@@ -97,6 +97,15 @@ std::vector<uint8_t> ObjectFile::serialize() const {
   return W.take();
 }
 
+/// Decodes an enum byte whose values run from 0 to \p Last; false for any
+/// other byte, which no writer produces.
+template <typename E> static bool decodeEnum(uint8_t Raw, E Last, E &Out) {
+  if (Raw > static_cast<uint8_t>(Last))
+    return false;
+  Out = static_cast<E>(Raw);
+  return true;
+}
+
 Result<ObjectFile> ObjectFile::deserialize(const std::vector<uint8_t> &Bytes) {
   ByteReader R(Bytes);
   if (R.readU32() != ObjectMagic)
@@ -122,7 +131,11 @@ Result<ObjectFile> ObjectFile::deserialize(const std::vector<uint8_t> &Bytes) {
   for (uint32_t Idx = 0; Idx < NumSyms && !R.hadError(); ++Idx) {
     Symbol S;
     S.Name = R.readString();
-    S.Section = static_cast<SectionKind>(R.readU8());
+    uint8_t Section = R.readU8();
+    if (!decodeEnum(Section, SectionKind::Bss, S.Section))
+      return Result<ObjectFile>::failure(formatString(
+          "%s: symbol %u has unknown section kind %u", O.ModuleName.c_str(),
+          Idx, Section));
     S.Offset = R.readU64();
     S.Size = R.readU64();
     S.IsProcedure = R.readU8();
@@ -134,8 +147,16 @@ Result<ObjectFile> ObjectFile::deserialize(const std::vector<uint8_t> &Bytes) {
   uint32_t NumRelocs = R.readU32();
   for (uint32_t Idx = 0; Idx < NumRelocs && !R.hadError(); ++Idx) {
     Reloc Rel;
-    Rel.Kind = static_cast<RelocKind>(R.readU8());
-    Rel.Section = static_cast<SectionKind>(R.readU8());
+    uint8_t Kind = R.readU8();
+    if (!decodeEnum(Kind, RelocKind::RefQuad, Rel.Kind))
+      return Result<ObjectFile>::failure(
+          formatString("%s: relocation %u has unknown kind %u",
+                       O.ModuleName.c_str(), Idx, Kind));
+    uint8_t Section = R.readU8();
+    if (!decodeEnum(Section, SectionKind::Bss, Rel.Section))
+      return Result<ObjectFile>::failure(formatString(
+          "%s: relocation %u has unknown section kind %u",
+          O.ModuleName.c_str(), Idx, Section));
     Rel.Offset = R.readU64();
     Rel.GatIndex = R.readU32();
     Rel.LiteralId = R.readU32();
@@ -144,6 +165,11 @@ Result<ObjectFile> ObjectFile::deserialize(const std::vector<uint8_t> &Bytes) {
     Rel.AnchorOffset = R.readU64();
     Rel.PairOffset = R.readU64();
     Rel.GpKind = R.readU8();
+    GpDispKind GpKind = GpDispKind::Prologue;
+    if (!decodeEnum(Rel.GpKind, GpDispKind::PostCall, GpKind))
+      return Result<ObjectFile>::failure(formatString(
+          "%s: relocation %u has unknown GP-disp kind %u",
+          O.ModuleName.c_str(), Idx, Rel.GpKind));
     O.Relocs.push_back(Rel);
   }
 

@@ -210,9 +210,12 @@ bool isHalt(const Inst &I) {
 // CFG construction
 //===----------------------------------------------------------------------===//
 
-bool Cfg::dominates(uint32_t A, uint32_t B) const {
-  if (A >= Blocks.size() || B >= Blocks.size() || !Reachable[A] ||
-      !Reachable[B])
+bool Dominators::dominates(uint32_t A, uint32_t B) const {
+  // The entry block is reachable; every other reachable block has an
+  // immediate dominator.
+  auto reachable = [&](uint32_t X) { return X == 0 || Idom[X] != ~0u; };
+  if (A >= Idom.size() || B >= Idom.size() || !reachable(A) ||
+      !reachable(B))
     return false;
   while (true) {
     if (B == A)
@@ -336,18 +339,21 @@ Cfg analysis::buildCfg(const SymProc &Proc) {
   for (uint32_t B = 0; B < C.Blocks.size(); ++B)
     if (C.Reachable[B] && C.FallsOff[B])
       C.FallsOffEnd = true;
+  return C;
+}
 
-  // Immediate dominators: the Cooper-Harvey-Kennedy iteration over RPO.
+Dominators analysis::computeDominators(const Cfg &C) {
+  Dominators D;
   std::vector<uint32_t> RpoPos(C.Blocks.size(), ~0u);
   for (uint32_t I = 0; I < C.Rpo.size(); ++I)
     RpoPos[C.Rpo[I]] = I;
-  C.Idom.assign(C.Blocks.size(), ~0u);
+  D.Idom.assign(C.Blocks.size(), ~0u);
   auto intersect = [&](uint32_t A, uint32_t B) {
     while (A != B) {
       while (RpoPos[A] > RpoPos[B])
-        A = C.Idom[A] == ~0u ? 0 : C.Idom[A];
+        A = D.Idom[A] == ~0u ? 0 : D.Idom[A];
       while (RpoPos[B] > RpoPos[A])
-        B = C.Idom[B] == ~0u ? 0 : C.Idom[B];
+        B = D.Idom[B] == ~0u ? 0 : D.Idom[B];
     }
     return A;
   };
@@ -360,17 +366,17 @@ Cfg analysis::buildCfg(const SymProc &Proc) {
       for (uint32_t P : C.preds(B)) {
         if (!C.Reachable[P])
           continue;
-        if (P != 0 && C.Idom[P] == ~0u)
+        if (P != 0 && D.Idom[P] == ~0u)
           continue; // not yet processed this round
         NewIdom = NewIdom == ~0u ? P : intersect(NewIdom, P);
       }
-      if (NewIdom != ~0u && C.Idom[B] != NewIdom) {
-        C.Idom[B] = NewIdom;
+      if (NewIdom != ~0u && D.Idom[B] != NewIdom) {
+        D.Idom[B] = NewIdom;
         Changed = true;
       }
     }
   }
-  return C;
+  return D;
 }
 
 //===----------------------------------------------------------------------===//
@@ -414,11 +420,10 @@ bool gpProvenAt(const SymProc &Proc, const GpVal &Raw, const GpVal &EntryGp) {
 uint32_t calleeOf(const SymbolicProgram &SP, const SymInst &SI) {
   if (SI.Kind == SKind::DirectCall)
     return SI.TargetProc;
-  if (SI.Kind == SKind::JsrViaGat && SI.LitId != ~0u) {
-    auto It = SP.Lits.find(SI.LitId);
-    if (It != SP.Lits.end() && It->second.TargetSym < SP.Syms.size() &&
-        SP.Syms[It->second.TargetSym].IsProc)
-      return SP.Syms[It->second.TargetSym].ProcIdx;
+  if (SI.Kind == SKind::JsrViaGat) {
+    const LitInfo *L = SP.lit(SI.LitId);
+    if (L && L->TargetSym < SP.Syms.size() && SP.Syms[L->TargetSym].IsProc)
+      return SP.Syms[L->TargetSym].ProcIdx;
   }
   return ~0u;
 }
@@ -1174,9 +1179,8 @@ uint64_t hashProcContent(const SymbolicProgram &SP, uint32_t ProcIdx) {
     H.addI32(SI.TargetIdx);
     H.addI32(SI.OrigDisp);
     if (SI.LitId != ~0u) {
-      auto It = SP.Lits.find(SI.LitId);
-      if (It != SP.Lits.end())
-        addSymFacts(It->second.TargetSym);
+      if (const LitInfo *L = SP.lit(SI.LitId))
+        addSymFacts(L->TargetSym);
       else
         H.addU64(0x6e6f6c6974ull); // dangling-literal marker
     }
@@ -1919,15 +1923,15 @@ void lintProc(const TransferCtx &BaseCtx, const SymbolicProgram &SP,
                  "GAT load here: GP is not provably this group's value");
       }
       // L005: call-convention violations.
-      if (SI.Kind == SKind::JsrViaGat && SI.LitId != ~0u) {
-        auto It = SP.Lits.find(SI.LitId);
-        if (It != SP.Lits.end() && It->second.TargetSym < SP.Syms.size() &&
-            !SP.Syms[It->second.TargetSym].IsProc)
+      if (SI.Kind == SKind::JsrViaGat) {
+        const LitInfo *L = SP.lit(SI.LitId);
+        if (L && L->TargetSym < SP.Syms.size() &&
+            !SP.Syms[L->TargetSym].IsProc)
           report(I,
                  "L005",
                  formatString("L005: call at +%u targets data symbol '%s'",
                               I * 4,
-                              SP.Syms[It->second.TargetSym].Name.c_str()),
+                              SP.Syms[L->TargetSym].Name.c_str()),
                  0, false, 0, "call through a data symbol's GAT slot");
       }
       if (SI.I.Op == Opcode::Jsr && SI.I.Ra != RA)

@@ -236,8 +236,7 @@ struct CfgBlock {
   std::array<uint32_t, 2> Succs = {~0u, ~0u};
 };
 
-/// Per-procedure CFG with reachability, reverse postorder, and immediate
-/// dominators. Nullified instructions are treated as no-ops (they fall
+/// Per-procedure CFG with reachability and reverse postorder. Nullified instructions are treated as no-ops (they fall
 /// through), calls end their block with a fall-through edge, and Ret /
 /// Halt / computed jumps end their block with no successors.
 struct Cfg {
@@ -249,7 +248,6 @@ struct Cfg {
   std::vector<uint32_t> Preds;
   std::vector<uint8_t> Reachable; // per block, from the entry block
   std::vector<uint32_t> Rpo;      // reachable blocks in reverse postorder
-  std::vector<uint32_t> Idom;     // per block; ~0u for entry/unreachable
   /// Per block: control can run past the last instruction of the procedure
   /// from here (a missing terminator, or a conditional branch at the end).
   /// Liveness treats the fall-off edge as reading every register.
@@ -262,10 +260,6 @@ struct Cfg {
   /// conservative for the whole program.
   bool HasComputedJump = false;
 
-  /// True when block \p A dominates block \p B (reflexive). Unreachable
-  /// blocks are dominated by nothing and dominate nothing.
-  bool dominates(uint32_t A, uint32_t B) const;
-
   /// Block \p B's predecessors.
   std::span<const uint32_t> preds(uint32_t B) const {
     return {Preds.data() + PredBegin[B], PredBegin[B + 1] - PredBegin[B]};
@@ -275,6 +269,20 @@ struct Cfg {
 /// Builds the CFG of one procedure. Pure; safe to call concurrently on
 /// different procedures.
 Cfg buildCfg(const SymProc &Proc);
+
+/// Immediate dominators of a CFG's blocks.
+struct Dominators {
+  std::vector<uint32_t> Idom; // per block; ~0u for entry/unreachable
+
+  /// True when block \p A dominates block \p B (reflexive). Unreachable
+  /// blocks are dominated by nothing and dominate nothing.
+  bool dominates(uint32_t A, uint32_t B) const;
+};
+
+/// Computes \p C's dominators with the Cooper-Harvey-Kennedy iteration
+/// over reverse postorder. No OM stage reads dominators, so buildCfg does
+/// not compute them; a caller that needs them asks here.
+Dominators computeDominators(const Cfg &C);
 
 //===----------------------------------------------------------------------===//
 // Per-procedure dataflow results

@@ -108,13 +108,6 @@ private:
   Result<Image> assemble(const DataLayout &DL);
   void finalizeStats(const DataLayout &DL);
 
-  /// Splits SP.Lits by owning procedure so the decision and rewrite loops
-  /// can fan out per procedure. Within each procedure literal ids ascend,
-  /// and the lift assigns ids in procedure order, so walking LitsOfProc in
-  /// procedure order visits literals exactly as the global ascending-id
-  /// iteration did.
-  void partitionLiterals();
-
   SymbolicProgram &SP;
   const OmOptions &Opts;
   OmStats &Stats;
@@ -141,10 +134,6 @@ private:
   /// then skips the profile layout pass (the legacy whole-text bail,
   /// now reached only when genuinely necessary).
   bool LayoutAllowed = true;
-
-  // Per-procedure (LitId, literal) views into SP.Lits; map nodes are
-  // pointer-stable, and dropped together with SP.Lits after deletion.
-  std::vector<std::vector<std::pair<uint32_t, LitInfo *>>> LitsOfProc;
 };
 
 } // namespace
@@ -176,7 +165,7 @@ DataLayout Emitter::layoutData(bool IncludeAllLiterals) const {
   for (const std::vector<uint64_t> &Keys : KeysOfProc)
     for (uint64_t Key : Keys) {
       uint32_t Group = static_cast<uint32_t>(Key >> 32);
-      auto [It, Inserted] = DL.Slot.emplace(
+      auto [It, Inserted] = DL.Slot.try_emplace(
           Key, static_cast<uint32_t>(DL.GroupSyms[Group].size()));
       (void)It;
       if (Inserted)
@@ -239,7 +228,7 @@ Error Emitter::relaxDirectCalls() {
     uint32_t Proc = 0;
     uint32_t Inst = 0;
     uint32_t Target = 0;
-    LitInfo *L = nullptr; // map node, pointer-stable
+    LitInfo *L = nullptr; // into SP.Lits, which nothing resizes here
     /// The conversion nullified the PV load, so reverting it resurrects
     /// one instruction (at OM-full, where nullified code is deleted).
     bool LoadWasNullified = false;
@@ -272,8 +261,8 @@ Error Emitter::relaxDirectCalls() {
                                      SI.TargetProc);
         continue;
       }
-      auto It = SP.Lits.find(SI.LitId);
-      if (It == SP.Lits.end()) {
+      LitInfo *L = SP.lit(SI.LitId);
+      if (!L) {
         // A converted call that lost its literal cannot revert, and
         // admitting it unchecked could emit an out-of-range BSR. This is
         // a link error in every build mode, not an assert-then-continue.
@@ -288,8 +277,8 @@ Error Emitter::relaxDirectCalls() {
       C.Proc = static_cast<uint32_t>(P);
       C.Inst = Idx;
       C.Target = SI.TargetProc;
-      C.L = &It->second;
-      C.LoadWasNullified = Proc.Insts[It->second.LoadIdx].Nullified;
+      C.L = L;
+      C.LoadWasNullified = Proc.Insts[L->LoadIdx].Nullified;
       CandsOfProc[P].push_back(C);
     }
   });
@@ -457,23 +446,18 @@ Error Emitter::relaxDirectCalls() {
 // Address-load decisions.
 //===----------------------------------------------------------------------===//
 
-void Emitter::partitionLiterals() {
-  LitsOfProc.assign(SP.Procs.size(), {});
-  for (auto &[LitId, L] : SP.Lits)
-    if (L.Proc != ~0u)
-      LitsOfProc[L.Proc].emplace_back(LitId, &L);
-}
-
 bool Emitter::decideAddressLoads(const DataLayout &DL, bool Commit) {
   // Each literal reads and writes only its owning procedure's
-  // instructions, so procedures decide independently; the per-procedure
-  // flags OR-reduce to the same Changed the serial scan returned.
+  // instructions, so procedures decide independently over their own
+  // literal-id ranges; the per-procedure flags OR-reduce to the same
+  // Changed the serial scan returned.
   std::vector<uint8_t> ChangedInProc(SP.Procs.size(), 0);
   Pool.parallelFor(SP.Procs.size(), [&](size_t P) {
     SymProc &Proc = SP.Procs[P];
-    for (auto &[LitId, LPtr] : LitsOfProc[P]) {
-      (void)LitId;
-      LitInfo &L = *LPtr;
+    for (uint32_t LitId = Proc.LitBegin; LitId < Proc.LitEnd; ++LitId) {
+      const LitInfo &L = SP.Lits[LitId];
+      if (L.Proc != P)
+        continue; // no load: nothing to decide
       SymInst &Load = Proc.Insts[L.LoadIdx];
       if (Load.Kind != SKind::AddressLoad || Load.Nullified ||
           Load.Converted)
@@ -499,17 +483,17 @@ bool Emitter::decideAddressLoads(const DataLayout &DL, bool Commit) {
 
       // Mixed direct and derived uses never come out of our compiler; be
       // conservative if they somehow appear.
-      if (!L.MemUses.empty() && !L.DerefUses.empty())
+      if (L.NumMem != 0 && L.NumDeref != 0)
         continue;
       // A derived-pointer chain needs its address computation rewritten as
       // well; keep chains with unusual shapes.
-      if (!L.DerefUses.empty() && L.AddrUses.size() != 1)
+      if (L.NumDeref != 0 && L.NumAddr != 1)
         continue;
 
       // The displacement-carrying instructions: direct memory uses, or the
       // dereferences at the end of an address-arithmetic chain.
-      const std::vector<uint32_t> &DispUses =
-          L.DerefUses.empty() ? L.MemUses : L.DerefUses;
+      std::span<const uint32_t> DispUses =
+          L.NumDeref == 0 ? SP.memUses(L) : SP.derefUses(L);
       if (DispUses.empty())
         continue; // derived address never dereferenced: leave alone
       bool AllNear = true;
@@ -563,8 +547,10 @@ Error Emitter::applyRewrites(const DataLayout &DL) {
   std::vector<std::string> Errors(SP.Procs.size());
   Pool.parallelFor(SP.Procs.size(), [&](size_t P) {
     SymProc &Proc = SP.Procs[P];
-    for (auto &[LitId, LPtr] : LitsOfProc[P]) {
-      LitInfo &L = *LPtr;
+    for (uint32_t LitId = Proc.LitBegin; LitId < Proc.LitEnd; ++LitId) {
+      const LitInfo &L = SP.Lits[LitId];
+      if (L.Proc != P)
+        continue; // no load: nothing to rewrite
       SymInst &Load = Proc.Insts[L.LoadIdx];
       if (Load.Kind != SKind::AddressLoad)
         continue;
@@ -572,8 +558,8 @@ Error Emitter::applyRewrites(const DataLayout &DL) {
       int64_t A = static_cast<int64_t>(Target.Addr);
       int64_t G = static_cast<int64_t>(DL.GpValue[Proc.GpGroup]);
 
-      const std::vector<uint32_t> &DispUses =
-          L.DerefUses.empty() ? L.MemUses : L.DerefUses;
+      std::span<const uint32_t> DispUses =
+          L.NumDeref == 0 ? SP.memUses(L) : SP.derefUses(L);
 
       if (Load.Converted) {
         if (L.escapes()) {
@@ -637,11 +623,11 @@ Error Emitter::applyRewrites(const DataLayout &DL) {
                 LitId, Target.Name.c_str(), static_cast<long long>(Du));
             return;
           }
-          if (L.DerefUses.empty())
+          if (L.NumDeref == 0)
             Use.I.Rb = GP; // direct use: rebase onto GP
           Use.I.Disp = static_cast<int32_t>(Du);
         }
-        for (uint32_t AddrIdx : L.AddrUses)
+        for (uint32_t AddrIdx : SP.addrUses(L))
           Proc.Insts[AddrIdx].I.Rb = GP;
       }
     }
@@ -681,10 +667,9 @@ void Emitter::deleteNullified() {
   for (uint64_t Count : DeletedInProc)
     Stats.InstructionsDeleted += Count;
   // Literal bookkeeping indices are stale after deletion; transforms and
-  // decisions are all complete by now, so drop the table (and the
-  // per-procedure views into it) to make any accidental later use loud.
-  SP.Lits.clear();
-  LitsOfProc.clear();
+  // decisions are all complete by now, so drop the table to make any
+  // accidental later use loud.
+  SP.dropLiterals();
   Ctx.invalidate();
 }
 
@@ -694,7 +679,7 @@ Error Emitter::reschedule() {
   // ordering edges between proven-disjoint accesses. Without it every
   // access is Unknown, the historical conservative ordering. Only values
   // feed the classification, so the analysis skips the memory domain and
-  // liveness. It runs here, after deleteNullified cleared SP.Lits, so a
+  // liveness. It runs here, after deleteNullified dropped SP.Lits, so a
   // JSR the relaxation reverted reads as an indirect call; the emitted
   // images were scheduled against exactly that view.
   const analysis::ProgramAnalysis *PA =
@@ -1155,9 +1140,6 @@ Result<Image> Emitter::run() {
   if (DoOpt)
     if (Error E = relaxDirectCalls())
       return Result<Image>::failure(E.message());
-  // Literal ownership is final after the relaxation; the decision and
-  // rewrite loops below fan out over this per-procedure partition.
-  partitionLiterals();
   DataLayout DL = layoutData(/*IncludeAllLiterals=*/!Full);
   if (DoOpt) {
     if (Full) {

@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <set>
 #include <unordered_map>
 
@@ -55,6 +54,13 @@ uint32_t SymbolicProgram::findProcBySuffix(const std::string &Suffix) const {
   return ~0u;
 }
 
+void SymbolicProgram::dropLiterals() {
+  Lits.clear();
+  LitUses.clear();
+  for (SymProc &P : Procs)
+    P.LitBegin = P.LitEnd = 0;
+}
+
 namespace {
 
 struct Lifter {
@@ -81,15 +87,13 @@ struct Lifter {
   Error resolve(size_t ObjIdx, uint32_t SymIdx, uint32_t &Out) const;
   /// Decodes and classifies one procedure. \p RelocIdxs indexes the
   /// object's relocations belonging to this procedure, in table order.
-  /// Literal ids are assigned from a procedure-local counter starting at 0
-  /// (first-encounter order over the relocations, exactly as a shared
-  /// counter would see them) and the literal records land in \p LocalLits;
-  /// run() rebases both onto the program-wide id space in procedure order.
-  /// Reads only immutable state of the Lifter, so procedures lift
-  /// concurrently.
+  /// Literal ids are procedure-local, numbered from 0 in first-encounter
+  /// order over the relocations (exactly as a shared counter would see
+  /// them), and the literal records land in \p Local; run() rebases both
+  /// onto the program-wide id space in procedure order. Reads only
+  /// immutable state of the Lifter, so procedures lift concurrently.
   Error liftProc(size_t ObjIdx, const ProcDesc &Desc, SymProc &Proc,
-                 uint32_t &NextLitId, std::map<uint32_t, LitInfo> &LocalLits,
-                 const std::vector<uint32_t> &RelocIdxs);
+                 LocalLitTable &Local, const std::vector<uint32_t> &RelocIdxs);
   void assignGroups();
   void computeAddressTaken();
 };
@@ -187,9 +191,15 @@ Error Lifter::resolve(size_t ObjIdx, uint32_t SymIdx, uint32_t &Out) const {
   return Error::success();
 }
 
+/// True for the relocations that name a literal id.
+static bool isLiteralReloc(RelocKind K) {
+  return K == RelocKind::Literal || K == RelocKind::LituseBase ||
+         K == RelocKind::LituseAddr || K == RelocKind::LituseDeref ||
+         K == RelocKind::LituseJsr;
+}
+
 Error Lifter::liftProc(size_t ObjIdx, const ProcDesc &Desc, SymProc &Proc,
-                       uint32_t &NextLitId,
-                       std::map<uint32_t, LitInfo> &LocalLits,
+                       LocalLitTable &Local,
                        const std::vector<uint32_t> &RelocIdxs) {
   const ObjectFile &O = Objs[ObjIdx];
   size_t NumInsts = Desc.TextSize / 4;
@@ -210,21 +220,34 @@ Error Lifter::liftProc(size_t ObjIdx, const ProcDesc &Desc, SymProc &Proc,
     Proc.Insts[Idx].OrigDisp = I->Disp;
   }
 
-  // Apply relocation knowledge. Local literal ids map to program-unique
-  // ones so the Lits table can span objects.
-  std::map<uint32_t, uint32_t> LitIdMap;
-  auto mapLit = [&](uint32_t Local) {
-    auto It = LitIdMap.find(Local);
-    if (It != LitIdMap.end())
-      return It->second;
-    uint32_t Id = NextLitId++;
-    LitIdMap.emplace(Local, Id);
-    return Id;
-  };
+  // Number the object's literal ids in first-encounter order over the
+  // relocations. Sorting (object id, position) pairs groups each literal's
+  // relocations with its first one in front; LocalId[Pos] first holds that
+  // first position, then, in one forward pass, the local id.
+  const size_t NumRelocs = RelocIdxs.size();
+  std::vector<std::pair<uint32_t, uint32_t>> ByLiteral;
+  ByLiteral.reserve(NumRelocs);
+  std::vector<uint32_t> LocalId(NumRelocs, ~0u);
+  for (uint32_t Pos = 0; Pos < NumRelocs; ++Pos) {
+    const Reloc &R = O.Relocs[RelocIdxs[Pos]];
+    if (isLiteralReloc(R.Kind))
+      ByLiteral.emplace_back(R.LiteralId, Pos);
+  }
+  std::sort(ByLiteral.begin(), ByLiteral.end());
+  for (size_t K = 0; K < ByLiteral.size(); ++K)
+    LocalId[ByLiteral[K].second] =
+        K > 0 && ByLiteral[K - 1].first == ByLiteral[K].first
+            ? LocalId[ByLiteral[K - 1].second]
+            : ByLiteral[K].second;
+  uint32_t NumLits = 0;
+  for (uint32_t Pos = 0; Pos < NumRelocs; ++Pos)
+    if (LocalId[Pos] != ~0u)
+      LocalId[Pos] = LocalId[Pos] == Pos ? NumLits++ : LocalId[LocalId[Pos]];
 
+  // Apply relocation knowledge.
   uint32_t NextPairId = 0;
-  for (uint32_t RelocIdx : RelocIdxs) {
-    const Reloc &R = O.Relocs[RelocIdx];
+  for (uint32_t Pos = 0; Pos < NumRelocs; ++Pos) {
+    const Reloc &R = O.Relocs[RelocIdxs[Pos]];
     size_t Idx = (R.Offset - Desc.TextOffset) / 4;
     SymInst &SI = Proc.Insts[Idx];
     switch (R.Kind) {
@@ -238,24 +261,24 @@ Error Lifter::liftProc(size_t ObjIdx, const ProcDesc &Desc, SymProc &Proc,
         return Err;
       SI.Kind = SKind::AddressLoad;
       SI.TargetSym = Target;
-      SI.LitId = mapLit(R.LiteralId);
+      SI.LitId = LocalId[Pos];
       break;
     }
     case RelocKind::LituseBase:
       SI.Kind = SKind::LitUseMem;
-      SI.LitId = mapLit(R.LiteralId);
+      SI.LitId = LocalId[Pos];
       break;
     case RelocKind::LituseAddr:
       SI.Kind = SKind::LitUseAddr;
-      SI.LitId = mapLit(R.LiteralId);
+      SI.LitId = LocalId[Pos];
       break;
     case RelocKind::LituseDeref:
       SI.Kind = SKind::LitUseDeref;
-      SI.LitId = mapLit(R.LiteralId);
+      SI.LitId = LocalId[Pos];
       break;
     case RelocKind::LituseJsr:
       SI.Kind = SKind::JsrViaGat;
-      SI.LitId = mapLit(R.LiteralId);
+      SI.LitId = LocalId[Pos];
       break;
     case RelocKind::GpDisp: {
       SI.Kind = SKind::GpHigh;
@@ -289,6 +312,13 @@ Error Lifter::liftProc(size_t ObjIdx, const ProcDesc &Desc, SymProc &Proc,
     }
     if (classOf(I.Op) != InstClass::Branch)
       continue;
+    // No relocation names a branch: its role would be overwritten here,
+    // leaving a literal with uses but no load, or a GP pair without a half.
+    if (SI.Kind != SKind::Plain)
+      return Error::failure(formatString(
+          "%s: relocation on the branch instruction at +%zu in %s",
+          O.ModuleName.c_str(), Desc.TextOffset + Idx * 4,
+          Proc.Name.c_str()));
     int64_t TargetOff = static_cast<int64_t>(Desc.TextOffset) +
                         static_cast<int64_t>(Idx) * 4 + 4 +
                         static_cast<int64_t>(I.Disp) * 4;
@@ -320,23 +350,54 @@ Error Lifter::liftProc(size_t ObjIdx, const ProcDesc &Desc, SymProc &Proc,
         static_cast<int32_t>((TargetOff - Desc.TextOffset) / 4);
   }
 
-  // Record literal uses (into the procedure-local table; run() rebases).
+  // Record literal uses into the procedure-local table (run() rebases):
+  // count each literal's uses, give each literal its slice of Uses, then
+  // fill the slices in instruction order.
+  std::vector<LitInfo> &Lits = Local.Lits;
+  Lits.assign(NumLits, LitInfo());
   for (size_t Idx = 0; Idx < NumInsts; ++Idx) {
-    SymInst &SI = Proc.Insts[Idx];
-    if (SI.Kind == SKind::AddressLoad) {
-      LitInfo &L = LocalLits[SI.LitId];
-      L.Proc = Proc.SymId; // provisional; fixed by run()
-      L.LoadIdx = static_cast<uint32_t>(Idx);
-      L.TargetSym = SI.TargetSym;
-    } else if (SI.Kind == SKind::LitUseMem) {
-      LocalLits[SI.LitId].MemUses.push_back(static_cast<uint32_t>(Idx));
-    } else if (SI.Kind == SKind::LitUseAddr) {
-      LocalLits[SI.LitId].AddrUses.push_back(static_cast<uint32_t>(Idx));
-    } else if (SI.Kind == SKind::LitUseDeref) {
-      LocalLits[SI.LitId].DerefUses.push_back(static_cast<uint32_t>(Idx));
-    } else if (SI.Kind == SKind::JsrViaGat) {
-      LocalLits[SI.LitId].JsrIdx = static_cast<int32_t>(Idx);
+    const SymInst &SI = Proc.Insts[Idx];
+    switch (SI.Kind) {
+    case SKind::AddressLoad:
+      Lits[SI.LitId].LoadIdx = static_cast<uint32_t>(Idx);
+      Lits[SI.LitId].TargetSym = SI.TargetSym;
+      break;
+    case SKind::LitUseMem:
+      ++Lits[SI.LitId].NumMem;
+      break;
+    case SKind::LitUseAddr:
+      ++Lits[SI.LitId].NumAddr;
+      break;
+    case SKind::LitUseDeref:
+      ++Lits[SI.LitId].NumDeref;
+      break;
+    case SKind::JsrViaGat:
+      Lits[SI.LitId].JsrIdx = static_cast<int32_t>(Idx);
+      break;
+    default:
+      break;
     }
+  }
+  // Next free slot of each literal's memory, address and dereference list.
+  std::vector<uint32_t> Next(3 * static_cast<size_t>(NumLits));
+  uint32_t NumUses = 0;
+  for (uint32_t Id = 0; Id < NumLits; ++Id) {
+    LitInfo &L = Lits[Id];
+    L.UseBegin = NumUses;
+    Next[3 * Id] = NumUses;
+    Next[3 * Id + 1] = NumUses + L.NumMem;
+    Next[3 * Id + 2] = NumUses + L.NumMem + L.NumAddr;
+    NumUses += L.NumMem + L.NumAddr + L.NumDeref;
+  }
+  Local.Uses.resize(NumUses);
+  for (size_t Idx = 0; Idx < NumInsts; ++Idx) {
+    const SymInst &SI = Proc.Insts[Idx];
+    unsigned List = SI.Kind == SKind::LitUseMem    ? 0
+                    : SI.Kind == SKind::LitUseAddr ? 1
+                    : SI.Kind == SKind::LitUseDeref ? 2
+                                                    : 3;
+    if (List < 3)
+      Local.Uses[Next[3 * SI.LitId + List]++] = static_cast<uint32_t>(Idx);
   }
   return Error::success();
 }
@@ -387,14 +448,15 @@ void Lifter::assignGroups() {
 }
 
 void Lifter::computeAddressTaken() {
-  for (const auto &[LitId, L] : SP.Lits) {
-    (void)LitId;
+  for (const LitInfo &L : SP.Lits) {
+    if (L.TargetSym >= SP.Syms.size())
+      continue; // unrecorded, or uses without a load
     const PSym &Target = SP.Syms[L.TargetSym];
     if (!Target.IsProc)
       continue;
     // A procedure literal that is not used purely as a JSR destination
     // escapes: the procedure can be entered indirectly.
-    if (L.escapes() || !L.MemUses.empty())
+    if (L.escapes() || L.NumMem != 0)
       SP.Procs[Target.ProcIdx].AddressTaken = true;
   }
 }
@@ -500,8 +562,8 @@ Result<SymbolicProgram> Lifter::run() {
   // Lift every procedure on the pool. Workers touch only their own
   // procedure, a private literal table, and a private error slot; the
   // Lifter itself (symbol tables, Objs) is immutable here. Literal ids are
-  // rebased serially in procedure order below, which reproduces the
-  // first-encounter numbering of a single shared counter bit for bit.
+  // rebased in procedure order below, which reproduces the first-encounter
+  // numbering of a single shared counter bit for bit.
   struct LiftUnit {
     size_t ObjIdx;
     uint32_t ProcInObj;
@@ -515,8 +577,11 @@ Result<SymbolicProgram> Lifter::run() {
       Units.push_back({ObjIdx, P, &Objs[ObjIdx].Procs[P],
                        &RelocBuckets[ObjIdx][P]});
 
-  std::vector<std::map<uint32_t, LitInfo>> LocalLits(Units.size());
-  std::vector<uint32_t> LocalLitCount(Units.size(), 0);
+  // Each procedure's local literal table: freshly lifted into LocalLits,
+  // or read in place from its cache slot. The merge reads it through
+  // LitsOf.
+  std::vector<LocalLitTable> LocalLits(Units.size());
+  std::vector<const LocalLitTable *> LitsOf(Units.size(), nullptr);
   std::vector<std::string> LiftErrors(Units.size());
   Pool.parallelFor(Units.size(), [&](size_t P) {
     if (UseSlot[Units[P].ObjIdx]) {
@@ -527,13 +592,12 @@ Result<SymbolicProgram> Lifter::run() {
           Cache->Slots[Units[P].ObjIdx].Procs[Units[P].ProcInObj];
       SP.Procs[P].Insts = D.Insts;
       SP.Procs[P].MakesIndirectCalls = D.MakesIndirectCalls;
-      LocalLits[P] = D.LocalLits;
-      LocalLitCount[P] = D.LitCount;
+      LitsOf[P] = &D.Lits;
       return;
     }
+    LitsOf[P] = &LocalLits[P];
     if (Error Err = liftProc(Units[P].ObjIdx, *Units[P].Desc, SP.Procs[P],
-                             LocalLitCount[P], LocalLits[P],
-                             *Units[P].Relocs))
+                             LocalLits[P], *Units[P].Relocs))
       LiftErrors[P] = Err.message();
   });
   // First error in procedure order: the same one the serial loop stops at.
@@ -542,7 +606,9 @@ Result<SymbolicProgram> Lifter::run() {
       return Result<SymbolicProgram>::failure(Msg);
 
   // Refill the cache for modules that lifted fresh, before the rebase
-  // rewrites literal ids and call targets into link-specific form.
+  // rewrites literal ids and call targets into link-specific form. The
+  // fresh literal tables move into their slots and the merge reads them
+  // there.
   if (Cache) {
     Cache->ModulesReused = Cache->ModulesLifted = 0;
     Cache->ProcsReused = Cache->ProcsLifted = 0;
@@ -562,9 +628,9 @@ Result<SymbolicProgram> Lifter::run() {
       LiftCache::ProcData &D =
           Cache->Slots[Units[P].ObjIdx].Procs[Units[P].ProcInObj];
       D.Insts = SP.Procs[P].Insts;
-      D.LocalLits = LocalLits[P];
-      D.LitCount = LocalLitCount[P];
+      D.Lits = std::move(LocalLits[P]);
       D.MakesIndirectCalls = SP.Procs[P].MakesIndirectCalls;
+      LitsOf[P] = &D.Lits;
     });
     for (size_t ObjIdx = 0; ObjIdx < Objs.size(); ++ObjIdx) {
       uint64_t NProcs = Objs[ObjIdx].Procs.size();
@@ -578,19 +644,23 @@ Result<SymbolicProgram> Lifter::run() {
     }
   }
 
-  // Serial 64-bit prefix sum fixes every procedure's literal-id range (a
-  // 32-bit running counter would wrap silently before the range check on
-  // inputs with billions of sites), then the per-instruction rebase and
-  // the DirectCall fixup fan back out.
-  std::vector<uint64_t> LitBase(Units.size(), 0);
-  uint64_t TotalLits = 0;
+  // Serial 64-bit prefix sums fix every procedure's literal-id range and
+  // its slice of the use array (a 32-bit running counter would wrap
+  // silently before the range check on inputs with billions of sites).
+  std::vector<uint64_t> LitBase(Units.size() + 1, 0);
+  std::vector<uint64_t> UseBase(Units.size() + 1, 0);
   for (size_t P = 0; P < Units.size(); ++P) {
-    LitBase[P] = TotalLits;
-    TotalLits += LocalLitCount[P];
+    LitBase[P + 1] = LitBase[P] + LitsOf[P]->Lits.size();
+    UseBase[P + 1] = UseBase[P] + LitsOf[P]->Uses.size();
   }
-  if (Error Err = checkLiteralIdSpace(TotalLits))
+  if (Error Err = checkLiteralIdSpace(LitBase.back(), UseBase.back()))
     return Result<SymbolicProgram>::failure(Err.message());
 
+  // The per-instruction rebase, the DirectCall fixup and the literal merge
+  // fan back out: each procedure copies its table to its own bases, fixing
+  // each literal's owner (every literal with a load belongs to P).
+  SP.Lits.resize(LitBase.back());
+  SP.LitUses.resize(UseBase.back());
   Pool.parallelFor(Units.size(), [&](size_t P) {
     SymProc &Proc = SP.Procs[P];
     uint32_t Base = static_cast<uint32_t>(LitBase[P]);
@@ -604,20 +674,21 @@ Result<SymbolicProgram> Lifter::run() {
         SI.TargetProc = Entries.at(SI.TargetProc);
     }
     Proc.IsEntry = false;
-  });
 
-  // Serial procedure-order merge keeps the id -> LitInfo mapping identical
-  // to what a single shared counter would have produced, and fixes each
-  // literal's owner (every literal in LocalLits[P] belongs to procedure P).
-  for (size_t P = 0; P < Units.size(); ++P) {
-    for (auto &[LocalId, L] : LocalLits[P]) {
-      if (L.LoadIdx != ~0u)
-        L.Proc = static_cast<uint32_t>(P);
-      SP.Lits.emplace(static_cast<uint32_t>(LitBase[P]) + LocalId,
-                      std::move(L));
+    const LocalLitTable &Local = *LitsOf[P];
+    uint32_t Uses = static_cast<uint32_t>(UseBase[P]);
+    Proc.LitBegin = Base;
+    Proc.LitEnd = static_cast<uint32_t>(LitBase[P + 1]);
+    for (size_t Id = 0; Id < Local.Lits.size(); ++Id) {
+      LitInfo &L = SP.Lits[Base + Id];
+      L = Local.Lits[Id];
+      L.Proc = L.LoadIdx != ~0u ? static_cast<uint32_t>(P) : ~0u;
+      L.UseBegin += Uses;
     }
-    LocalLits[P].clear();
-  }
+    std::copy(Local.Uses.begin(), Local.Uses.end(),
+              SP.LitUses.begin() + Uses);
+    LocalLits[P] = LocalLitTable();
+  });
   uint32_t Entry = SP.findProcBySuffix(Opts.EntryName);
   if (Entry == ~0u)
     return Result<SymbolicProgram>::failure("no '" + Opts.EntryName +
@@ -637,12 +708,19 @@ om64::om::liftProgram(const std::vector<ObjectFile> &Objs,
   return L.run();
 }
 
-Error om64::om::checkLiteralIdSpace(uint64_t TotalLiteralSites) {
+Error om64::om::checkLiteralIdSpace(uint64_t TotalLiteralSites,
+                                    uint64_t TotalLiteralUses) {
   // SymInst::LitId is 32 bits with ~0u reserved as "no literal".
   if (TotalLiteralSites >= ~0u)
     return Error::failure(formatString(
         "program has %llu literal sites, exceeding the 32-bit literal-id "
         "space",
         static_cast<unsigned long long>(TotalLiteralSites)));
+  // LitInfo::UseBegin and the use counts are 32 bits.
+  if (TotalLiteralUses > ~0u)
+    return Error::failure(formatString(
+        "program has %llu literal uses, exceeding the 32-bit literal-use "
+        "space",
+        static_cast<unsigned long long>(TotalLiteralUses)));
   return Error::success();
 }

@@ -13,7 +13,6 @@
 #include "support/Result.h"
 #include "support/ThreadPool.h"
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -69,6 +68,15 @@ private:
   std::optional<analysis::ProgramAnalysis> Cached;
 };
 
+/// One procedure's literal table as the lift builds it: local literal ids
+/// index Lits, and each literal's uses sit in Uses at UseBegin. The lift's
+/// merge copies every procedure's table into SymbolicProgram::Lits and
+/// LitUses at the procedure's prefix-summed bases.
+struct LocalLitTable {
+  std::vector<LitInfo> Lits;
+  std::vector<uint32_t> Uses;
+};
+
 /// Per-module memo of the lift, keyed by module position. A slot is
 /// reusable when the module's serialized bytes are unchanged AND its
 /// resolution signature — the program symbol ids its GAT entries resolve
@@ -82,10 +90,9 @@ struct LiftCache {
     /// The lifted instructions in pre-rebase form: literal ids are
     /// procedure-local, DirectCall targets are object-local text offsets.
     std::vector<SymInst> Insts;
-    /// Procedure-local literal table (LitInfo::Proc is provisional here;
-    /// the merge in the lift rewrites it for every load-bearing entry).
-    std::map<uint32_t, LitInfo> LocalLits;
-    uint32_t LitCount = 0;
+    /// The procedure-local literal table (LitInfo::Proc is ~0u here and
+    /// UseBegin indexes Lits.Uses; the lift's merge rebases both).
+    LocalLitTable Lits;
     bool MakesIndirectCalls = false;
   };
   struct Slot {
@@ -132,11 +139,13 @@ void runCallTransforms(SymbolicProgram &SP, const OmOptions &Opts,
                        OmStats &Stats, OmContext &Ctx);
 
 /// Fails when \p TotalLiteralSites no longer fits the 32-bit literal-id
-/// space (SymInst::LitId, with ~0u reserved). The lift accumulates the
-/// program-wide count in 64 bits precisely so this check sees the true
-/// total instead of a wrapped one; exposed for the overflow regression
-/// test.
-Error checkLiteralIdSpace(uint64_t TotalLiteralSites);
+/// space (SymInst::LitId, with ~0u reserved), or \p TotalLiteralUses the
+/// 32-bit use offsets of the literal table (LitInfo::UseBegin). The lift
+/// accumulates the program-wide counts in 64 bits precisely so this check
+/// sees the true totals instead of wrapped ones; exposed for the overflow
+/// regression test.
+Error checkLiteralIdSpace(uint64_t TotalLiteralSites,
+                          uint64_t TotalLiteralUses);
 
 /// Call-graph reachability of GP groups, exact at any group count: bit g
 /// of row(P) is set when the subtree rooted at procedure P can execute

@@ -20,7 +20,7 @@
 #include "objfile/ObjectFile.h"
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,19 +55,21 @@ enum class SKind : uint8_t {
   DirectCall,  // BSR to TargetProc (compile-time or OM-created)
 };
 
-/// One instruction of the symbolic form.
+/// One instruction of the symbolic form. The 32-bit fields come first and
+/// the one-byte ones last, so the lift's million-instruction arrays carry
+/// no padding between them.
 struct SymInst {
   isa::Inst I;
-  SKind Kind = SKind::Plain;
   uint32_t LitId = ~0u;
-  uint32_t TargetSym = ~0u; // AddressLoad
-  uint32_t PairId = ~0u;    // GpHigh/GpLow pairing
-  obj::GpDispKind GpKind = obj::GpDispKind::Prologue;
+  uint32_t TargetSym = ~0u;   // AddressLoad
+  uint32_t PairId = ~0u;      // GpHigh/GpLow pairing
   uint32_t TargetProc = ~0u;  // DirectCall
-  bool SkipPrologue = false;  // DirectCall enters past the GP-set pair
   int32_t TargetIdx = -1;     // LocalBranch: index within the procedure
   int32_t OrigDisp = 0;       // displacement as compiled (layout rounds
                               // recompute rewrites from this)
+  SKind Kind = SKind::Plain;
+  obj::GpDispKind GpKind = obj::GpDispKind::Prologue;
+  bool SkipPrologue = false;  // DirectCall enters past the GP-set pair
   bool Nullified = false;     // becomes a no-op (simple) / deleted (full)
   /// Set alongside Nullified when the deletion was justified by a dataflow
   /// proof (om/Analysis.h) rather than a pattern: the proof-checking verify
@@ -81,6 +83,7 @@ struct SymInst {
   /// links keep their full alignment behaviour.
   bool Cold = false;
 };
+static_assert(sizeof(SymInst) == 44, "SymInst gained padding or a field");
 
 /// One procedure in symbolic form.
 struct SymProc {
@@ -93,6 +96,13 @@ struct SymProc {
   bool IsEntry = false;
   bool MakesIndirectCalls = false;
   uint32_t GpGroup = 0;
+  /// This procedure's literal ids: the lift numbers literals in procedure
+  /// order, so they form the range [LitBegin, LitEnd) of
+  /// SymbolicProgram::Lits. The range may hold ids no instruction records
+  /// (LitInfo::recorded() false); skip those. Both are 0 once the table is
+  /// dropped.
+  uint32_t LitBegin = 0;
+  uint32_t LitEnd = 0;
   std::vector<SymInst> Insts;
 
   /// Index of the first instruction past the prologue GP-set pair (0 when
@@ -102,28 +112,43 @@ struct SymProc {
   bool hasProloguePairAtEntry() const;
 };
 
-/// Per-literal bookkeeping: the loading instruction and its uses.
+/// Per-literal bookkeeping: the loading instruction and its uses. The uses
+/// live in SymbolicProgram::LitUses: NumMem LitUseMem indices from
+/// UseBegin, then NumAddr LitUseAddr indices, then NumDeref LitUseDeref
+/// indices, each list in ascending instruction order.
 struct LitInfo {
-  uint32_t Proc = ~0u;
+  uint32_t Proc = ~0u;      // owning procedure; ~0u when there is no load
   uint32_t LoadIdx = ~0u;
   uint32_t TargetSym = ~0u;
-  std::vector<uint32_t> MemUses;   // indices of LitUseMem instructions
-  std::vector<uint32_t> AddrUses;  // indices of LitUseAddr instructions
-  std::vector<uint32_t> DerefUses; // indices of LitUseDeref instructions
-  int32_t JsrIdx = -1;             // index of the JsrViaGat, if any
+  int32_t JsrIdx = -1;      // index of the JsrViaGat, if any
+  uint32_t UseBegin = 0;    // first use in SymbolicProgram::LitUses
+  uint32_t NumMem = 0;
+  uint32_t NumAddr = 0;
+  uint32_t NumDeref = 0;
   /// True when the loaded address flows somewhere OM cannot see (no
   /// recorded uses): conversion is possible, nullification is not.
   bool escapes() const {
-    return MemUses.empty() && AddrUses.empty() && DerefUses.empty() &&
-           JsrIdx < 0;
+    return (NumMem | NumAddr | NumDeref) == 0 && JsrIdx < 0;
   }
+  /// True when some instruction recorded this literal: its load, a use or
+  /// a call. An id whose every relocated instruction was classified as
+  /// something else (only hostile objects do this) stays unrecorded.
+  bool recorded() const { return LoadIdx != ~0u || !escapes(); }
 };
 
 /// The whole program in symbolic form.
+///
+/// The literal table is dense: Lits[Id] describes literal Id, and every
+/// literal's uses sit contiguously in the one program-wide LitUses array
+/// (LitInfo::UseBegin and the three counts). Each procedure owns the id
+/// range [SymProc::LitBegin, SymProc::LitEnd). OM-full's deletion stage
+/// drops the table (dropLiterals), because deletion makes every recorded
+/// index stale; lit() then finds nothing.
 struct SymbolicProgram {
   std::vector<PSym> Syms;
   std::vector<SymProc> Procs;
-  std::map<uint32_t, LitInfo> Lits; // program-unique literal ids
+  std::vector<LitInfo> Lits;     // by program-unique literal id
+  std::vector<uint32_t> LitUses; // instruction indices, see LitInfo
   size_t NumObjects = 0;
   std::vector<uint32_t> GroupOfObj; // GP group per object
   uint32_t NumGroups = 1;
@@ -131,6 +156,34 @@ struct SymbolicProgram {
 
   /// Finds a procedure by (suffix) name; ~0u when absent.
   uint32_t findProcBySuffix(const std::string &Suffix) const;
+
+  /// The recorded literal \p Id, or null (out of range, unrecorded, or
+  /// the table was dropped).
+  const LitInfo *lit(uint32_t Id) const {
+    return Id < Lits.size() && Lits[Id].recorded() ? &Lits[Id] : nullptr;
+  }
+  LitInfo *lit(uint32_t Id) {
+    return Id < Lits.size() && Lits[Id].recorded() ? &Lits[Id] : nullptr;
+  }
+
+  /// The instruction indices of \p L's uses of one kind.
+  std::span<const uint32_t> memUses(const LitInfo &L) const {
+    return {LitUses.data() + L.UseBegin, L.NumMem};
+  }
+  std::span<const uint32_t> addrUses(const LitInfo &L) const {
+    return {LitUses.data() + L.UseBegin + L.NumMem, L.NumAddr};
+  }
+  std::span<const uint32_t> derefUses(const LitInfo &L) const {
+    return {LitUses.data() + L.UseBegin + L.NumMem + L.NumAddr, L.NumDeref};
+  }
+  /// All of \p L's uses (memory, then address, then dereference), for
+  /// rewriting indices in place.
+  std::span<uint32_t> allUses(const LitInfo &L) {
+    return {LitUses.data() + L.UseBegin, L.NumMem + L.NumAddr + L.NumDeref};
+  }
+
+  /// Empties the literal table and every procedure's id range.
+  void dropLiterals();
 };
 
 } // namespace om

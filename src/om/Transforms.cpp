@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <vector>
 
 using namespace om64;
@@ -34,6 +35,15 @@ using namespace om64::isa;
 using namespace om64::obj;
 
 namespace {
+
+/// The literal a JsrViaGat instruction calls through. The lift records one
+/// for every such instruction, so a miss is a broken table: it throws, as
+/// a checked lookup would.
+const LitInfo &litOf(const SymbolicProgram &SP, const SymInst &SI) {
+  if (const LitInfo *L = SP.lit(SI.LitId))
+    return *L;
+  throw std::out_of_range("JSR-via-GAT without a recorded literal");
+}
 
 /// Moves the prologue GP-set pair of procedure \p ProcIdx back to
 /// instructions 0 and 1 (undoing compile-time scheduling). Safe because
@@ -91,8 +101,8 @@ void restoreProloguePair(SymbolicProgram &SP, uint32_t ProcIdx) {
     if (SI.Kind == SKind::LocalBranch && SI.TargetIdx >= 0)
       SI.TargetIdx =
           static_cast<int32_t>(remap(static_cast<uint32_t>(SI.TargetIdx)));
-  for (auto &[LitId, L] : SP.Lits) {
-    (void)LitId;
+  for (uint32_t LitId = Proc.LitBegin; LitId < Proc.LitEnd; ++LitId) {
+    LitInfo &L = SP.Lits[LitId];
     if (L.Proc != ProcIdx)
       continue;
     if (L.LoadIdx != ~0u)
@@ -100,11 +110,7 @@ void restoreProloguePair(SymbolicProgram &SP, uint32_t ProcIdx) {
     if (L.JsrIdx >= 0)
       L.JsrIdx =
           static_cast<int32_t>(remap(static_cast<uint32_t>(L.JsrIdx)));
-    for (uint32_t &Use : L.MemUses)
-      Use = remap(Use);
-    for (uint32_t &Use : L.AddrUses)
-      Use = remap(Use);
-    for (uint32_t &Use : L.DerefUses)
+    for (uint32_t &Use : SP.allUses(L))
       Use = remap(Use);
   }
 }
@@ -146,7 +152,7 @@ om64::om::computeReachableGroups(const SymbolicProgram &SP,
       if (SI.Kind == SKind::DirectCall) {
         Callees[Idx].push_back(SI.TargetProc);
       } else if (SI.Kind == SKind::JsrViaGat) {
-        const LitInfo &L = SP.Lits.at(SI.LitId);
+        const LitInfo &L = litOf(SP, SI);
         const PSym &Target = SP.Syms[L.TargetSym];
         if (Target.IsProc)
           Callees[Idx].push_back(Target.ProcIdx);
@@ -326,14 +332,11 @@ void runAnalysisDeletions(SymbolicProgram &SP, OmStats &Stats,
           // second call to a callee that preserved PV). Restricted to
           // pure call literals so applyRewrites never folds displacements
           // of a load *we* nullified.
-          auto It = SP.Lits.find(SI.LitId);
-          if (It == SP.Lits.end())
+          const LitInfo *L = SP.lit(SI.LitId);
+          if (!L || L->JsrIdx < 0 || L->NumMem != 0 || L->NumAddr != 0 ||
+              L->NumDeref != 0)
             continue;
-          const LitInfo &L = It->second;
-          if (L.JsrIdx < 0 || !L.MemUses.empty() || !L.AddrUses.empty() ||
-              !L.DerefUses.empty())
-            continue;
-          const PSym &Target = SP.Syms[L.TargetSym];
+          const PSym &Target = SP.Syms[L->TargetSym];
           if (!Target.IsProc)
             continue;
           analysis::ValueState S = PA.valuesBefore(
@@ -361,8 +364,8 @@ void runAnalysisDeletions(SymbolicProgram &SP, OmStats &Stats,
         SymInst &SI = Proc.Insts[Idx];
         if (SI.Kind != SKind::AddressLoad || SI.Nullified || SI.Converted)
           continue;
-        auto It = SP.Lits.find(SI.LitId);
-        if (It == SP.Lits.end() || !It->second.escapes())
+        const LitInfo *L = SP.lit(SI.LitId);
+        if (!L || !L->escapes())
           continue; // a recorded use reads the register; liveness agrees
         uint64_t LiveOut = PA.liveAfter(SP, static_cast<uint32_t>(ProcIdx),
                                         static_cast<uint32_t>(Idx));
@@ -397,8 +400,8 @@ void om64::om::runCallTransforms(SymbolicProgram &SP, const OmOptions &Opts,
   // restore them to their logical place at the beginning of the procedure,
   // we can avoid executing them on most or all of the calls"). Each
   // restoration reorders only its own procedure and rewrites only the
-  // literal records owned by it (L.Proc, which nobody writes here, selects
-  // them), so procedures restore concurrently.
+  // literal records in its own id range, so procedures restore
+  // concurrently.
   if (Full)
     Pool.parallelFor(NumProcs, [&](size_t ProcIdx) {
       restoreProloguePair(SP, static_cast<uint32_t>(ProcIdx));
@@ -434,12 +437,10 @@ void om64::om::runCallTransforms(SymbolicProgram &SP, const OmOptions &Opts,
       SymInst &SI = Caller.Insts[Idx];
       if (SI.Kind != SKind::JsrViaGat)
         continue;
-      // find, not operator[]: a structural map mutation here would race
-      // with the other workers' lookups.
-      auto It = SP.Lits.find(SI.LitId);
-      if (It == SP.Lits.end())
+      const LitInfo *LP = SP.lit(SI.LitId);
+      if (!LP)
         continue;
-      const LitInfo &L = It->second;
+      const LitInfo &L = *LP;
       const PSym &Target = SP.Syms[L.TargetSym];
       if (!Target.IsProc)
         continue; // call through a data literal: leave alone
@@ -465,7 +466,7 @@ void om64::om::runCallTransforms(SymbolicProgram &SP, const OmOptions &Opts,
       } else if (!CalleeHasGpSet[Target.ProcIdx]) {
         PvDead = true;
       }
-      if (PvDead && L.MemUses.empty() &&
+      if (PvDead && L.NumMem == 0 &&
           L.JsrIdx == static_cast<int32_t>(Idx))
         Caller.Insts[L.LoadIdx].Nullified = true;
     }
@@ -540,7 +541,7 @@ void om64::om::runCallTransforms(SymbolicProgram &SP, const OmOptions &Opts,
         if (SI.Kind == SKind::DirectCall && !SI.SkipPrologue)
           NeedsPrologue[SI.TargetProc] = true;
         else if (SI.Kind == SKind::JsrViaGat) {
-          const LitInfo &L = SP.Lits.at(SI.LitId);
+          const LitInfo &L = litOf(SP, SI);
           if (SP.Syms[L.TargetSym].IsProc)
             NeedsPrologue[SP.Syms[L.TargetSym].ProcIdx] = true;
         }

@@ -52,6 +52,11 @@ public:
   void checkSymbols();
   void checkProc(uint32_t ProcIdx);
   void checkLits();
+  /// True when \p L's use slice lies inside SP.LitUses.
+  bool usesInRange(const LitInfo &L) const {
+    return uint64_t(L.UseBegin) + L.NumMem + L.NumAddr + L.NumDeref <=
+           SP.LitUses.size();
+  }
 
 private:
   const SymbolicProgram &SP;
@@ -120,18 +125,18 @@ void Checker::checkProc(uint32_t ProcIdx) {
     }
     case SKind::AddressLoad:
       if (HaveLits) {
-        auto It = SP.Lits.find(SI.LitId);
-        if (It == SP.Lits.end())
+        const LitInfo *L = SP.lit(SI.LitId);
+        if (!L)
           bad(ProcIdx, Idx, "address load's literal " +
                                 std::to_string(SI.LitId) +
                                 " is not in the literal table");
-        else if (It->second.Proc != ProcIdx ||
-                 It->second.LoadIdx != static_cast<uint32_t>(Idx))
+        else if (L->Proc != ProcIdx ||
+                 L->LoadIdx != static_cast<uint32_t>(Idx))
           bad(ProcIdx, Idx,
               "address load is not where literal " +
                   std::to_string(SI.LitId) + " records its load (LoadIdx " +
-                  std::to_string(It->second.LoadIdx) + ")");
-        else if (It->second.TargetSym != SI.TargetSym)
+                  std::to_string(L->LoadIdx) + ")");
+        else if (L->TargetSym != SI.TargetSym)
           bad(ProcIdx, Idx, "address load and literal " +
                                 std::to_string(SI.LitId) +
                                 " disagree on the target symbol");
@@ -141,17 +146,19 @@ void Checker::checkProc(uint32_t ProcIdx) {
     case SKind::LitUseAddr:
     case SKind::LitUseDeref:
       if (HaveLits) {
-        auto It = SP.Lits.find(SI.LitId);
-        if (It == SP.Lits.end()) {
+        const LitInfo *L = SP.lit(SI.LitId);
+        if (!L) {
           bad(ProcIdx, Idx, "literal use's literal " +
                                 std::to_string(SI.LitId) +
                                 " is not in the literal table");
           break;
         }
-        const std::vector<uint32_t> &Uses =
-            SI.Kind == SKind::LitUseMem    ? It->second.MemUses
-            : SI.Kind == SKind::LitUseAddr ? It->second.AddrUses
-                                           : It->second.DerefUses;
+        if (!usesInRange(*L))
+          break; // checkLits reports the literal itself
+        std::span<const uint32_t> Uses =
+            SI.Kind == SKind::LitUseMem    ? SP.memUses(*L)
+            : SI.Kind == SKind::LitUseAddr ? SP.addrUses(*L)
+                                           : SP.derefUses(*L);
         if (std::find(Uses.begin(), Uses.end(),
                       static_cast<uint32_t>(Idx)) == Uses.end())
           bad(ProcIdx, Idx,
@@ -161,16 +168,16 @@ void Checker::checkProc(uint32_t ProcIdx) {
       break;
     case SKind::JsrViaGat:
       if (HaveLits) {
-        auto It = SP.Lits.find(SI.LitId);
-        if (It == SP.Lits.end())
+        const LitInfo *L = SP.lit(SI.LitId);
+        if (!L)
           bad(ProcIdx, Idx, "JSR-via-GAT's literal " +
                                 std::to_string(SI.LitId) +
                                 " is not in the literal table");
-        else if (It->second.JsrIdx != static_cast<int32_t>(Idx))
+        else if (L->JsrIdx != static_cast<int32_t>(Idx))
           bad(ProcIdx, Idx,
               "JSR-via-GAT is not where literal " +
                   std::to_string(SI.LitId) + " records its call (JsrIdx " +
-                  std::to_string(It->second.JsrIdx) + ")");
+                  std::to_string(L->JsrIdx) + ")");
       }
       break;
     case SKind::Plain:
@@ -204,8 +211,15 @@ void Checker::checkProc(uint32_t ProcIdx) {
 }
 
 void Checker::checkLits() {
-  for (const auto &[LitId, L] : SP.Lits) {
+  for (uint32_t LitId = 0; LitId < SP.Lits.size(); ++LitId) {
+    const LitInfo &L = SP.Lits[LitId];
+    if (!L.recorded())
+      continue;
     std::string Tag = "literal " + std::to_string(LitId);
+    if (!usesInRange(L)) {
+      bad(~0u, ~0u, Tag + " records uses outside the use array");
+      continue;
+    }
     if (L.Proc == ~0u) {
       if (!L.escapes())
         bad(~0u, ~0u, Tag + " has recorded uses but no owning procedure");
@@ -235,7 +249,7 @@ void Checker::checkLits() {
       continue;
     }
 
-    auto checkUses = [&](const std::vector<uint32_t> &Uses, SKind Want,
+    auto checkUses = [&](std::span<const uint32_t> Uses, SKind Want,
                          const char *What) {
       for (uint32_t UseIdx : Uses) {
         if (UseIdx >= N) {
@@ -250,9 +264,9 @@ void Checker::checkLits() {
                                   "instruction (stale index?)");
       }
     };
-    checkUses(L.MemUses, SKind::LitUseMem, "MemUses");
-    checkUses(L.AddrUses, SKind::LitUseAddr, "AddrUses");
-    checkUses(L.DerefUses, SKind::LitUseDeref, "DerefUses");
+    checkUses(SP.memUses(L), SKind::LitUseMem, "MemUses");
+    checkUses(SP.addrUses(L), SKind::LitUseAddr, "AddrUses");
+    checkUses(SP.derefUses(L), SKind::LitUseDeref, "DerefUses");
 
     bool JsrLive = false;
     if (L.JsrIdx >= 0) {
@@ -388,10 +402,9 @@ void checkProcProofs(const SymbolicProgram &SP,
       // Remaining justification: the equal-value proof — the register
       // already held the loaded address, so the load was a no-op.
       uint32_t Target = ~0u;
-      auto It = SP.Lits.find(SI.LitId);
-      if (It != SP.Lits.end() && It->second.TargetSym < SP.Syms.size() &&
-          SP.Syms[It->second.TargetSym].IsProc)
-        Target = SP.Syms[It->second.TargetSym].ProcIdx;
+      const LitInfo *L = SP.lit(SI.LitId);
+      if (L && L->TargetSym < SP.Syms.size() && SP.Syms[L->TargetSym].IsProc)
+        Target = SP.Syms[L->TargetSym].ProcIdx;
       if (Target == ~0u || !(S.R[Dest] == analysis::AbsVal::entryOf(Target)))
         bad(Idx, "deleted address load: destination is live and dataflow "
                  "no longer proves it already held the loaded value");

@@ -61,8 +61,8 @@ struct ProgramAnalysis;
 ///   * every GpHigh has exactly one GpLow with the same PairId and GpKind,
 ///     the high precedes the low, and the two are both nullified or
 ///     neither (a half-nullified pair corrupts GP),
-///   * while SP.Lits is populated (it is cleared by OM-full's deletion
-///     stage, after which these checks are vacuous): every LitInfo index
+///   * while SP.Lits is populated (OM-full's deletion stage drops it,
+///     after which these checks are vacuous): every LitInfo index
 ///     points at an instruction of the matching SKind and LitId, every
 ///     lit-tagged instruction is listed by its literal at exactly its own
 ///     index, and a nullified address load has no live JsrViaGat consumer

@@ -118,6 +118,7 @@ TEST(CfgTest, DiamondDominators) {
              plain(makeMem(Opcode::Lda, V0, 2, Zero)), // C: 3
              ret()};                              // D: 4
   Cfg C = buildCfg(P);
+  Dominators D = computeDominators(C);
   ASSERT_EQ(C.Blocks.size(), 4u);
   // A=0 [0,1), B=1 [1,3), C=2 [3,4), D=3 [4,5).
   EXPECT_EQ(C.BlockOf[0], 0u);
@@ -128,10 +129,10 @@ TEST(CfgTest, DiamondDominators) {
     EXPECT_TRUE(C.Reachable[B]) << "block " << B;
   // The entry dominates everything; neither arm dominates the join.
   for (uint32_t B = 0; B < 4; ++B)
-    EXPECT_TRUE(C.dominates(0, B));
-  EXPECT_FALSE(C.dominates(1, 3));
-  EXPECT_FALSE(C.dominates(2, 3));
-  EXPECT_EQ(C.Idom[3], 0u);
+    EXPECT_TRUE(D.dominates(0, B));
+  EXPECT_FALSE(D.dominates(1, 3));
+  EXPECT_FALSE(D.dominates(2, 3));
+  EXPECT_EQ(D.Idom[3], 0u);
   EXPECT_FALSE(C.FallsOffEnd);
 }
 
@@ -143,6 +144,7 @@ TEST(CfgTest, LoopBackEdge) {
              branch(Opcode::Bne, T0, 1),                //    2
              ret()};                                    // C: 3
   Cfg C = buildCfg(P);
+  Dominators D = computeDominators(C);
   ASSERT_EQ(C.Blocks.size(), 3u);
   // B's successors: itself (back edge) and C.
   const CfgBlock &B = C.Blocks[1];
@@ -150,10 +152,10 @@ TEST(CfgTest, LoopBackEdge) {
   EXPECT_TRUE((B.Succs[0] == 1 && B.Succs[1] == 2) ||
               (B.Succs[0] == 2 && B.Succs[1] == 1));
   // A dom B dom C despite the cycle.
-  EXPECT_TRUE(C.dominates(0, 2));
-  EXPECT_TRUE(C.dominates(1, 2));
-  EXPECT_EQ(C.Idom[1], 0u);
-  EXPECT_EQ(C.Idom[2], 1u);
+  EXPECT_TRUE(D.dominates(0, 2));
+  EXPECT_TRUE(D.dominates(1, 2));
+  EXPECT_EQ(D.Idom[1], 0u);
+  EXPECT_EQ(D.Idom[2], 1u);
 }
 
 TEST(CfgTest, IrreducibleTwoEntryLoop) {
@@ -166,15 +168,16 @@ TEST(CfgTest, IrreducibleTwoEntryLoop) {
              branch(Opcode::Beq, V0, 1),               //    4
              ret()};                                   // Z: 5
   Cfg C = buildCfg(P);
+  Dominators D = computeDominators(C);
   ASSERT_EQ(C.Blocks.size(), 4u);
   // Both loop entries are dominated only by the fork, not by each other.
-  EXPECT_EQ(C.Idom[1], 0u);
-  EXPECT_EQ(C.Idom[2], 0u);
-  EXPECT_FALSE(C.dominates(1, 2));
-  EXPECT_FALSE(C.dominates(2, 1));
+  EXPECT_EQ(D.Idom[1], 0u);
+  EXPECT_EQ(D.Idom[2], 0u);
+  EXPECT_FALSE(D.dominates(1, 2));
+  EXPECT_FALSE(D.dominates(2, 1));
   // The exit is reached only through Y.
-  EXPECT_EQ(C.Idom[3], 2u);
-  EXPECT_TRUE(C.dominates(2, 3));
+  EXPECT_EQ(D.Idom[3], 2u);
+  EXPECT_TRUE(D.dominates(2, 3));
 }
 
 TEST(CfgTest, UnreachableAndFallOff) {
@@ -184,14 +187,15 @@ TEST(CfgTest, UnreachableAndFallOff) {
              plain(makeMem(Opcode::Lda, V0, 1, Zero)), // skipped
              plain(makeMem(Opcode::Lda, V0, 2, Zero))}; // no terminator
   Cfg C = buildCfg(P);
+  Dominators D = computeDominators(C);
   ASSERT_EQ(C.Blocks.size(), 3u);
   EXPECT_TRUE(C.Reachable[0]);
   EXPECT_FALSE(C.Reachable[1]);
   EXPECT_TRUE(C.Reachable[2]);
   EXPECT_TRUE(C.FallsOffEnd);
   // Unreachable blocks dominate nothing and are dominated by nothing.
-  EXPECT_FALSE(C.dominates(0, 1));
-  EXPECT_FALSE(C.dominates(1, 1));
+  EXPECT_FALSE(D.dominates(0, 1));
+  EXPECT_FALSE(D.dominates(1, 1));
 }
 
 //===----------------------------------------------------------------------===//

@@ -222,10 +222,14 @@ TEST(MegaGenTest, LiteralIdSpaceGuardRejectsOverflow) {
   // The lift counts literal sites in 64 bits and must refuse totals the
   // 32-bit SymInst::LitId space cannot hold (with ~0u reserved), instead
   // of wrapping and silently aliasing literals on huge programs.
-  EXPECT_FALSE(bool(om::checkLiteralIdSpace(1000)));
-  EXPECT_TRUE(bool(om::checkLiteralIdSpace(uint64_t(~0u))));
-  EXPECT_TRUE(bool(om::checkLiteralIdSpace(1ull << 32)));
-  EXPECT_TRUE(bool(om::checkLiteralIdSpace(1ull << 40)));
+  EXPECT_FALSE(bool(om::checkLiteralIdSpace(1000, 3000)));
+  EXPECT_TRUE(bool(om::checkLiteralIdSpace(uint64_t(~0u), 0)));
+  EXPECT_TRUE(bool(om::checkLiteralIdSpace(1ull << 32, 0)));
+  EXPECT_TRUE(bool(om::checkLiteralIdSpace(1ull << 40, 0)));
+  // The use offsets are 32 bits too: ~0u uses still fit, one more does not.
+  EXPECT_FALSE(bool(om::checkLiteralIdSpace(1000, uint64_t(~0u))));
+  EXPECT_TRUE(bool(om::checkLiteralIdSpace(1000, 1ull << 32)));
+  EXPECT_TRUE(bool(om::checkLiteralIdSpace(1000, 1ull << 40)));
 }
 
 } // namespace

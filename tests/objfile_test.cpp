@@ -116,6 +116,42 @@ TEST(ObjectFileTest, RejectsBadMagicAndTruncation) {
   EXPECT_FALSE(bool(ObjectFile::deserialize(Short)));
 }
 
+TEST(ObjectFileTest, RejectsUnknownEnumBytes) {
+  // Each enum travels as one byte; a value no writer produces must be
+  // rejected with a diagnostic naming the record, not cast into the enum.
+  auto message = [](const ObjectFile &O) {
+    Result<ObjectFile> Back = ObjectFile::deserialize(O.serialize());
+    return Back ? std::string("(accepted)") : Back.message();
+  };
+  for (unsigned Raw : {7u, 9u, 0x80u, 0xFFu}) {
+    ObjectFile O = sampleObject();
+    O.Relocs[1].Kind = static_cast<RelocKind>(Raw);
+    EXPECT_EQ(message(O), "demo: relocation 1 has unknown kind " +
+                              std::to_string(Raw));
+  }
+  for (unsigned Raw : {4u, 7u, 0xFFu}) {
+    ObjectFile O = sampleObject();
+    O.Relocs[0].Section = static_cast<SectionKind>(Raw);
+    EXPECT_EQ(message(O), "demo: relocation 0 has unknown section kind " +
+                              std::to_string(Raw));
+    O = sampleObject();
+    O.Symbols[1].Section = static_cast<SectionKind>(Raw);
+    EXPECT_EQ(message(O),
+              "demo: symbol 1 has unknown section kind " + std::to_string(Raw));
+  }
+  for (unsigned Raw : {2u, 5u, 0xFFu}) {
+    ObjectFile O = sampleObject();
+    O.Relocs[2].GpKind = static_cast<uint8_t>(Raw);
+    EXPECT_EQ(message(O), "demo: relocation 2 has unknown GP-disp kind " +
+                              std::to_string(Raw));
+  }
+  // The largest known value of each still loads.
+  ObjectFile O = sampleObject();
+  O.Symbols[1].Section = SectionKind::Bss;
+  O.Relocs[2].GpKind = static_cast<uint8_t>(GpDispKind::PostCall);
+  EXPECT_EQ(message(O), "(accepted)");
+}
+
 TEST(ObjectFileTest, VerifyCatchesInconsistencies) {
   {
     ObjectFile O = sampleObject();

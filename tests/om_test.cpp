@@ -722,8 +722,12 @@ SymbolicProgram makeTinySymbolicProgram() {
   L.Proc = 0;
   L.LoadIdx = 2;
   L.TargetSym = 1;
-  L.MemUses = {3};
-  SP.Lits[0] = L;
+  L.UseBegin = 0;
+  L.NumMem = 1;
+  SP.Lits = {L};
+  SP.LitUses = {3};
+  SP.Procs[0].LitBegin = 0;
+  SP.Procs[0].LitEnd = 1;
   return SP;
 }
 

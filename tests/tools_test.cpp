@@ -1098,4 +1098,132 @@ TEST_F(ToolchainTest, LiteralCollisionFailsWithDiagnostic) {
   }
 }
 
+TEST_F(ToolchainTest, RelocatedBranchFailsWithDiagnostic) {
+  // A LITERAL moved onto a branch of its procedure: the lift classified
+  // the branch afterwards and overwrote the load's role, so the literal
+  // kept its uses but lost its load, and OM and the linter read a symbol
+  // table entry at ~0u (SIGSEGV). The lift must reject the module.
+  std::string Out;
+  const std::string Gen = Dir + "/gen", Bad = Dir + "/bad";
+  ASSERT_EQ(runCommand("mkdir -p " + Gen + " " + Bad, Out), 0);
+  ASSERT_EQ(runCommand(toolsDir() + "/megagen --modules 2 --procs 4 "
+                                    "--insts 2000 -o " + Gen,
+                       Out),
+            0)
+      << Out;
+  ASSERT_EQ(runCommand("cp " + Gen + "/mg0001.aaxo " + Bad, Out), 0);
+  std::vector<char> Bytes = readFile(Gen + "/mg0000.aaxo");
+  std::vector<std::pair<uint64_t, uint64_t>> Procs;
+  std::vector<RelocRecord> Relocs = relocRecords(Bytes, Procs);
+  // .text follows the magic, the version and the module name.
+  uint32_t NameLen = 0;
+  std::memcpy(&NameLen, Bytes.data() + 8, 4);
+  const size_t Text = 20 + NameLen;
+  auto isFreeBranch = [&](uint64_t Off) {
+    uint32_t Word = 0;
+    std::memcpy(&Word, Bytes.data() + Text + Off, 4);
+    uint32_t Raw = Word >> 26;
+    if (Raw != 0x30 && Raw != 0x39 && Raw != 0x3D) // br, beq, bne
+      return false;
+    for (const RelocRecord &R : Relocs)
+      if (R.Offset == Off)
+        return false;
+    return true;
+  };
+  enum : uint8_t { Literal = 0 };
+  const RelocRecord *Moved = nullptr;
+  uint64_t Branch = 0;
+  for (const auto &[Begin, Size] : Procs)
+    for (const RelocRecord &R : Relocs) {
+      if (Moved || R.Kind != Literal || R.Offset < Begin ||
+          R.Offset - Begin >= Size)
+        continue;
+      for (uint64_t Off = R.Offset + 4; Off < Begin + Size && !Moved;
+           Off += 4)
+        if (isFreeBranch(Off)) {
+          Moved = &R;
+          Branch = Off;
+        }
+    }
+  ASSERT_NE(Moved, nullptr)
+      << "mg0000.aaxo has no procedure with a branch after a literal";
+  std::memcpy(Bytes.data() + Moved->At + 2, &Branch, 8);
+  writeFile(Bad + "/mg0000.aaxo", Bytes);
+  const std::string Diagnostic =
+      "relocation on the branch instruction at +" + std::to_string(Branch);
+  for (const std::string &Cmd :
+       {"/omlink -O none -o " + Dir + "/h.aaxe ",
+        "/omlink -O full --sched -o " + Dir + "/h.aaxe ",
+        std::string("/aaxlint ")}) {
+    EXPECT_EQ(runCommandErr(toolsDir() + Cmd + Bad + "/mg0000.aaxo " + Bad +
+                                "/mg0001.aaxo",
+                            Out),
+              1)
+        << Cmd << Out;
+    EXPECT_NE(Out.find(Diagnostic), std::string::npos) << Cmd << Out;
+  }
+}
+
+TEST_F(ToolchainTest, UnknownEnumBytesFailWithDiagnostic) {
+  // A relocation kind, a GP-disp kind and a symbol section are one byte
+  // each in an object. Unknown values used to load: the lift and the
+  // standard linker skipped an unknown relocation kind, the lift took an
+  // unknown GP-disp kind as is, and an unknown section read back as "?".
+  // Every reader must reject each edit with a diagnostic and exit 1.
+  std::string Out;
+  const std::string Gen = Dir + "/gen", Bad = Dir + "/bad";
+  ASSERT_EQ(runCommand("mkdir -p " + Gen + " " + Bad, Out), 0);
+  ASSERT_EQ(runCommand(toolsDir() + "/megagen --modules 2 --procs 4 "
+                                    "--insts 2000 --seed 3 -o " + Gen,
+                       Out),
+            0)
+      << Out;
+  ASSERT_EQ(runCommand("cp " + Gen + "/mg0001.aaxo " + Bad, Out), 0);
+  const std::vector<char> Clean = readFile(Gen + "/mg0000.aaxo");
+  std::vector<std::pair<uint64_t, uint64_t>> Procs;
+  std::vector<RelocRecord> Relocs = relocRecords(Clean, Procs);
+  uint64_t DataSize = 0;
+  std::vector<SymbolRecord> Syms = symbolRecords(Clean, DataSize);
+  enum : uint8_t { LituseBase = 1, GpDisp = 5 };
+  auto firstOf = [&Relocs](uint8_t Kind) {
+    for (size_t I = 0; I < Relocs.size(); ++I)
+      if (Relocs[I].Kind == Kind)
+        return I;
+    return Relocs.size();
+  };
+  const size_t Base = firstOf(LituseBase), Gp = firstOf(GpDisp);
+  ASSERT_LT(Base, Relocs.size());
+  ASSERT_LT(Gp, Relocs.size());
+  ASSERT_FALSE(Syms.empty());
+
+  struct Edit {
+    size_t At;
+    char Value;
+    std::string Diagnostic;
+  };
+  const Edit Edits[] = {
+      {Relocs[Base].At, 9,
+       "relocation " + std::to_string(Base) + " has unknown kind 9"},
+      {Relocs[Gp].At + 46, 5,
+       "relocation " + std::to_string(Gp) + " has unknown GP-disp kind 5"},
+      {Syms[0].Section, 7, "symbol 0 has unknown section kind 7"}};
+  for (const Edit &E : Edits) {
+    std::vector<char> Bytes = Clean;
+    Bytes[E.At] = E.Value;
+    writeFile(Bad + "/mg0000.aaxo", Bytes);
+    for (const std::string &Cmd :
+         {"/omlink -O full --sched -o " + Dir + "/h.aaxe ",
+          "/omlink -O none -o " + Dir + "/h.aaxe ",
+          "/omlink --standard -o " + Dir + "/h.aaxe ",
+          std::string("/aaxlint ")}) {
+      EXPECT_EQ(runCommandErr(toolsDir() + Cmd + Bad + "/mg0000.aaxo " +
+                                  Bad + "/mg0001.aaxo",
+                              Out),
+                1)
+          << Cmd << Out;
+      EXPECT_NE(Out.find(E.Diagnostic), std::string::npos) << Cmd << Out;
+    }
+  }
+}
+
 } // namespace
