@@ -9,7 +9,7 @@
 #include "support/ByteStream.h"
 #include "support/Format.h"
 
-#include <set>
+#include <algorithm>
 
 using namespace om64;
 using namespace om64::obj;
@@ -275,19 +275,27 @@ Error ObjectFile::verify() const {
 
   // The lift maps literal ids per procedure: a lituse's literal is there.
   // The lift also gives each literal the load its one LITERAL names.
-  std::set<std::pair<uint32_t, uint32_t>> Literals;
-  const Reloc *SecondLoad = nullptr;
-  for (const Reloc &R : Relocs)
-    if (R.Kind == RelocKind::Literal &&
-        !Literals.insert({ProcAt[R.Offset / 4], R.LiteralId}).second &&
-        !SecondLoad)
-      SecondLoad = &R;
+  // Each LITERAL is ((procedure, literal id), relocation index) in one
+  // sorted array, so the copies of a key sit together in relocation order.
+  auto keyOf = [&](const Reloc &R) {
+    return static_cast<uint64_t>(ProcAt[R.Offset / 4]) << 32 | R.LiteralId;
+  };
+  std::vector<std::pair<uint64_t, size_t>> Literals;
+  for (size_t I = 0; I < Relocs.size(); ++I)
+    if (Relocs[I].Kind == RelocKind::Literal)
+      Literals.emplace_back(keyOf(Relocs[I]), I);
+  std::sort(Literals.begin(), Literals.end());
+  size_t SecondLoad = Relocs.size(); // the first repeat, in relocation order
+  for (size_t I = 1; I < Literals.size(); ++I)
+    if (Literals[I].first == Literals[I - 1].first)
+      SecondLoad = std::min(SecondLoad, Literals[I].second);
   for (const Reloc &R : Relocs)
     if ((R.Kind == RelocKind::LituseBase ||
          R.Kind == RelocKind::LituseJsr ||
          R.Kind == RelocKind::LituseAddr ||
          R.Kind == RelocKind::LituseDeref) &&
-        !Literals.count({ProcAt[R.Offset / 4], R.LiteralId}))
+        !std::ranges::binary_search(Literals, keyOf(R), {},
+                                    &std::pair<uint64_t, size_t>::first))
       return Error::failure(formatString(
           "%s: %s at offset %llu has no literal id %u in its procedure",
           ModuleName.c_str(), relocKindName(R.Kind),
@@ -317,11 +325,11 @@ Error ObjectFile::verify() const {
       if (Error E = claim(R, R.Offset + R.PairOffset))
         return E;
   }
-  if (SecondLoad)
+  if (SecondLoad < Relocs.size())
     return Error::failure(formatString(
         "%s: literal id %u has a second LITERAL at offset %llu in its "
         "procedure",
-        ModuleName.c_str(), SecondLoad->LiteralId,
-        static_cast<unsigned long long>(SecondLoad->Offset)));
+        ModuleName.c_str(), Relocs[SecondLoad].LiteralId,
+        static_cast<unsigned long long>(Relocs[SecondLoad].Offset)));
   return Error::success();
 }

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <numeric>
 
 using namespace om64;
 using namespace om64::isa;
@@ -237,8 +238,10 @@ Cfg analysis::buildCfg(const SymProc &Proc) {
   // Leaders: the entry, every local branch target, and every instruction
   // after a live terminator (calls included — a call ends its block with a
   // fall-through edge, which keeps call transfer functions edge-local).
-  // Nullified instructions are plain no-ops.
-  std::vector<uint8_t> Leader(N, 0);
+  // Nullified instructions are plain no-ops. BlockOf holds the leader
+  // marks until the blocks are numbered.
+  std::vector<uint32_t> &Leader = C.BlockOf;
+  Leader.assign(N, 0);
   Leader[0] = 1;
   for (uint32_t I = 0; I < N; ++I) {
     const SymInst &SI = Insts[I];
@@ -253,8 +256,7 @@ Cfg analysis::buildCfg(const SymProc &Proc) {
       C.HasComputedJump = true;
   }
 
-  C.BlockOf.assign(N, 0);
-  C.Blocks.reserve(std::count(Leader.begin(), Leader.end(), uint8_t(1)));
+  C.Blocks.reserve(std::count(Leader.begin(), Leader.end(), 1u));
   for (uint32_t I = 0; I < N; ++I) {
     if (Leader[I]) {
       CfgBlock B;
@@ -268,13 +270,11 @@ Cfg analysis::buildCfg(const SymProc &Proc) {
 
   // Edges. A successor past the last instruction is a fall-off-the-end
   // edge, recorded per block rather than as an edge.
-  C.FallsOff.assign(C.Blocks.size(), 0);
-  for (uint32_t B = 0; B < C.Blocks.size(); ++B) {
-    CfgBlock &Blk = C.Blocks[B];
+  for (CfgBlock &Blk : C.Blocks) {
     const SymInst &Last = Insts[Blk.End - 1];
     auto addSucc = [&](uint32_t Target) {
       if (Target >= N) {
-        C.FallsOff[B] = 1;
+        Blk.FallsOff = true;
         return;
       }
       Blk.Succs[Blk.NumSuccs++] = C.BlockOf[Target];
@@ -297,47 +297,55 @@ Cfg analysis::buildCfg(const SymProc &Proc) {
   }
   // Predecessors, counting-sorted by target: visiting sources in
   // increasing order keeps each block's list sorted.
+  // Per-thread scratch, since buildCfg runs per procedure on the pool: once
+  // grown, a build allocates only the Cfg's own arrays. Fill counts each
+  // block's predecessors, then holds its next free slot.
+  thread_local struct {
+    std::vector<uint32_t> Fill;
+    std::vector<std::pair<uint32_t, uint32_t>> Stack;
+  } Scr;
   const uint32_t NB = static_cast<uint32_t>(C.Blocks.size());
-  C.PredBegin.assign(NB + 1, 0);
+  std::vector<uint32_t> &Fill = Scr.Fill;
+  Fill.assign(NB, 0);
   for (const CfgBlock &Blk : C.Blocks)
     for (uint32_t S = 0; S < Blk.NumSuccs; ++S)
-      ++C.PredBegin[Blk.Succs[S] + 1];
-  for (uint32_t B = 0; B < NB; ++B)
-    C.PredBegin[B + 1] += C.PredBegin[B];
-  C.Preds.resize(C.PredBegin[NB]);
-  {
-    std::vector<uint32_t> Fill(C.PredBegin.begin(), C.PredBegin.end() - 1);
-    for (uint32_t B = 0; B < NB; ++B)
-      for (uint32_t S = 0; S < C.Blocks[B].NumSuccs; ++S)
-        C.Preds[Fill[C.Blocks[B].Succs[S]]++] = B;
+      ++Fill[Blk.Succs[S]];
+  uint32_t NumPreds = 0;
+  for (uint32_t B = 0; B < NB; ++B) {
+    uint32_t Count = Fill[B];
+    Fill[B] = C.Blocks[B].PredBegin = NumPreds;
+    NumPreds += Count;
   }
+  C.Preds.resize(NumPreds);
+  for (uint32_t B = 0; B < NB; ++B)
+    for (uint32_t S = 0; S < C.Blocks[B].NumSuccs; ++S)
+      C.Preds[Fill[C.Blocks[B].Succs[S]]++] = B;
 
   // Reachability and reverse postorder from the entry block.
-  C.Reachable.assign(C.Blocks.size(), 0);
-  std::vector<uint32_t> Post;
-  Post.reserve(C.Blocks.size());
+  C.Rpo.reserve(NB);
   {
     // Iterative DFS; the second stack slot tracks the next successor.
-    std::vector<std::pair<uint32_t, uint32_t>> Stack;
+    std::vector<std::pair<uint32_t, uint32_t>> &Stack = Scr.Stack;
+    Stack.clear();
     Stack.emplace_back(0u, 0u);
-    C.Reachable[0] = 1;
+    C.Blocks[0].Reachable = true;
     while (!Stack.empty()) {
       auto &[B, NextSucc] = Stack.back();
       if (NextSucc < C.Blocks[B].NumSuccs) {
         uint32_t S = C.Blocks[B].Succs[NextSucc++];
-        if (!C.Reachable[S]) {
-          C.Reachable[S] = 1;
+        if (!C.Blocks[S].Reachable) {
+          C.Blocks[S].Reachable = true;
           Stack.emplace_back(S, 0u);
         }
       } else {
-        Post.push_back(B);
+        C.Rpo.push_back(B);
         Stack.pop_back();
       }
     }
   }
-  C.Rpo.assign(Post.rbegin(), Post.rend());
-  for (uint32_t B = 0; B < C.Blocks.size(); ++B)
-    if (C.Reachable[B] && C.FallsOff[B])
+  std::reverse(C.Rpo.begin(), C.Rpo.end());
+  for (const CfgBlock &Blk : C.Blocks)
+    if (Blk.Reachable && Blk.FallsOff)
       C.FallsOffEnd = true;
   return C;
 }
@@ -364,7 +372,7 @@ Dominators analysis::computeDominators(const Cfg &C) {
       uint32_t B = C.Rpo[I];
       uint32_t NewIdom = ~0u;
       for (uint32_t P : C.preds(B)) {
-        if (!C.Reachable[P])
+        if (!C.Blocks[P].Reachable)
           continue;
         if (P != 0 && D.Idom[P] == ~0u)
           continue; // not yet processed this round
@@ -1092,11 +1100,11 @@ ProcLiveness analyzeLiveness(const TransferCtx &C, const Cfg &Cfg_,
       uint32_t B = *It;
       const CfgBlock &Blk = Cfg_.Blocks[B];
       uint64_t Out = 0;
-      if (Blk.NumSuccs == 0 && !Cfg_.FallsOff[B])
+      if (Blk.NumSuccs == 0 && !Blk.FallsOff)
         Out = exitLiveOut(Cfg_, Proc, B);
       for (uint32_t S = 0; S < Blk.NumSuccs; ++S)
         Out |= L.In[Blk.Succs[S]];
-      if (Cfg_.FallsOff[B])
+      if (Blk.FallsOff)
         Out |= AllUnitsMask; // the fall-off edge reads everything
       uint64_t LiveIn = Out;
       for (uint32_t I = Blk.End; I > Blk.Begin; --I)
@@ -1190,21 +1198,22 @@ uint64_t hashProcContent(const SymbolicProgram &SP, uint32_t ProcIdx) {
   return H.digest();
 }
 
-/// Sorted, deduplicated direct-callee indices: the summaries a round of
-/// this procedure may read. Conservatively includes nullified call sites.
-std::vector<uint32_t> directCallees(const SymbolicProgram &SP,
-                                    uint32_t ProcIdx) {
-  std::vector<uint32_t> Out;
+/// Writes procedure \p ProcIdx's sorted, deduplicated direct-callee
+/// indices — the summaries a round of it may read — to \p Out, which has
+/// room for one per call site, and returns how many it wrote.
+/// Conservatively includes nullified call sites.
+uint32_t directCallees(const SymbolicProgram &SP, uint32_t ProcIdx,
+                       uint32_t *Out) {
+  uint32_t *End = Out;
   for (const SymInst &SI : SP.Procs[ProcIdx].Insts) {
     if (!isCall(SI))
       continue;
     uint32_t Callee = calleeOf(SP, SI);
     if (Callee != ~0u && Callee < SP.Procs.size())
-      Out.push_back(Callee);
+      *End++ = Callee;
   }
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
+  std::sort(Out, End);
+  return static_cast<uint32_t>(std::unique(Out, End) - Out);
 }
 
 size_t roundEntryBytes(const ProcRound &R, bool WithValues) {
@@ -1297,13 +1306,21 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
   if (!WithMem)
     ++Cache.Totals.ValueRuns;
 
-  // ProcHash/Callees are computed once per call; InputsHash is re-keyed
-  // every round against the evolving summaries.
+  // ProcHash and each procedure's NumCallees[I] direct callees, from
+  // Callees[CalleeBegin[I]] in one flat array, are computed once per call;
+  // InputsHash is re-keyed every round against the evolving summaries.
   std::vector<uint64_t> ProcHash(N), InputsHash(N);
-  std::vector<std::vector<uint32_t>> Callees(N);
+  std::vector<uint32_t> CalleeBegin(N + 1, 0), NumCallees(N);
   Pool.parallelFor(N, [&](size_t I) {
     ProcHash[I] = hashProcContent(SP, static_cast<uint32_t>(I));
-    Callees[I] = directCallees(SP, static_cast<uint32_t>(I));
+    for (const SymInst &SI : SP.Procs[I].Insts)
+      CalleeBegin[I + 1] += isCall(SI);
+  });
+  std::partial_sum(CalleeBegin.begin(), CalleeBegin.end(), CalleeBegin.begin());
+  std::vector<uint32_t> Callees(CalleeBegin[N]);
+  Pool.parallelFor(N, [&](size_t I) {
+    NumCallees[I] = directCallees(SP, static_cast<uint32_t>(I),
+                                  Callees.data() + CalleeBegin[I]);
   });
 
   // CFGs: one per procedure content key, kept in the cache. Two procedures
@@ -1330,7 +1347,7 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
         continue;
       const Cfg &C = Built[I]->C;
       Built[I]->LastUse = Cache.Gen;
-      Built[I]->Bytes = 64 + C.Blocks.size() * (sizeof(CfgBlock) + 14) +
+      Built[I]->Bytes = 64 + C.Blocks.size() * (sizeof(CfgBlock) + 6) +
                         C.BlockOf.size() * 4 + C.Preds.size() * 4;
       Cache.Bytes += Built[I]->Bytes;
       PA.Cfgs[I] = std::shared_ptr<const Cfg>(Built[I], &Built[I]->C);
@@ -1404,12 +1421,14 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
       Hasher H;
       H.addU64(ProcHash[I]);
       H.addU64(CtxHash);
-      for (uint32_t Callee : Callees[I])
-        addSummary(H, PA.Summaries[Callee]);
+      for (uint32_t K = 0; K < NumCallees[I]; ++K)
+        addSummary(H, PA.Summaries[Callees[CalleeBegin[I] + K]]);
       Keys[I] = H.digest();
     });
   };
   auto evaluate = [&](const TransferCtx &C, size_t I) {
+    // One entry per reachable call site at most: grown once per call.
+    Work[I].CalleeEntries.reserve(CalleeBegin[I + 1] - CalleeBegin[I]);
     analyzeProcRound(C, *PA.Cfgs[I], static_cast<uint32_t>(I), WithMem,
                      workerScratch(), Work[I]);
     WorkKey[I] = InputsHash[I];
@@ -1490,18 +1509,16 @@ ProgramAnalysis analysis::analyzeProgram(const SymbolicProgram &SP,
       if (Recompute[I])
         ++Cache.Totals.RoundsEvaluated; // converged lookup hit a stripped entry
       if (!Shared[I]->HasValues) {
-        auto Full = std::make_shared<SummaryCache::RoundEntry>();
-        Full->R = std::move(Work[I]);
-        Full->HasValues = true;
-        SummaryCache::Key K{ProcHash[I], InputsHash[I]};
-        auto It = Cache.Rounds.find(K);
-        if (It != Cache.Rounds.end())
-          Cache.Bytes -= It->second->Bytes;
-        Full->LastUse = Cache.Gen;
-        Full->Bytes = roundEntryBytes(Full->R, true);
-        Cache.Bytes += Full->Bytes;
-        Cache.Rounds[K] = Full;
-        Shared[I] = std::move(Full);
+        // The stripped entry is the cache's entry at the converged key, and
+        // Work holds that very round: give it the values in place. No
+        // result aliases a stripped entry.
+        SummaryCache::RoundEntry &E = *Shared[I];
+        Cache.Bytes -= E.Bytes;
+        E.R.Values = std::move(Work[I].Values);
+        E.HasValues = true;
+        E.LastUse = Cache.Gen;
+        E.Bytes = roundEntryBytes(E.R, true);
+        Cache.Bytes += E.Bytes;
       }
       PA.Values[I] = std::shared_ptr<const ProcValues>(Shared[I],
                                                        &Shared[I]->R.Values);
@@ -1880,7 +1897,7 @@ void lintProc(const TransferCtx &BaseCtx, const SymbolicProgram &SP,
 
   const size_t FirstFinding = Out.size();
   for (uint32_t B = 0; B < C.Blocks.size(); ++B) {
-    if (!C.Reachable[B])
+    if (!C.Blocks[B].Reachable)
       continue;
     ValueState &S = Scr.S;
     MemState &M = Scr.M;
@@ -2081,7 +2098,7 @@ void lintProc(const TransferCtx &BaseCtx, const SymbolicProgram &SP,
   // padding — so only blocks with an observable effect (a store, a call,
   // or control flow of their own) are reported.
   for (uint32_t B = 0; B < C.Blocks.size(); ++B) {
-    if (C.Reachable[B])
+    if (C.Blocks[B].Reachable)
       continue;
     bool Observable = false;
     for (uint32_t I = C.Blocks[B].Begin; I < C.Blocks[B].End && !Observable;
@@ -2104,7 +2121,7 @@ void lintProc(const TransferCtx &BaseCtx, const SymbolicProgram &SP,
   if (C.FallsOffEnd) {
     uint32_t FallBlock = 0;
     for (uint32_t B = 0; B < C.Blocks.size(); ++B)
-      if (C.Reachable[B] && C.FallsOff[B]) {
+      if (C.Blocks[B].Reachable && C.Blocks[B].FallsOff) {
         FallBlock = B;
         break;
       }

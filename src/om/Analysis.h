@@ -234,6 +234,12 @@ struct CfgBlock {
   uint32_t End = 0;
   uint32_t NumSuccs = 0;
   std::array<uint32_t, 2> Succs = {~0u, ~0u};
+  uint32_t PredBegin = 0; ///< first of this block's Cfg::Preds
+  bool Reachable = false; ///< from the entry block
+  /// Control can run past the last instruction of the procedure from here
+  /// (a missing terminator, or a conditional branch at the end). Liveness
+  /// treats the fall-off edge as reading every register.
+  bool FallsOff = false;
 };
 
 /// Per-procedure CFG with reachability and reverse postorder. Nullified instructions are treated as no-ops (they fall
@@ -242,16 +248,10 @@ struct CfgBlock {
 struct Cfg {
   std::vector<CfgBlock> Blocks;   // in instruction order
   std::vector<uint32_t> BlockOf;  // instruction index -> block index
-  /// Predecessor edges, flat: block B's are Preds[PredBegin[B]] up to
-  /// Preds[PredBegin[B + 1]], in increasing source-block order.
-  std::vector<uint32_t> PredBegin;
+  /// Predecessor edges, flat: block B's start at Preds[Blocks[B].PredBegin]
+  /// and end where block B + 1's start, in increasing source-block order.
   std::vector<uint32_t> Preds;
-  std::vector<uint8_t> Reachable; // per block, from the entry block
-  std::vector<uint32_t> Rpo;      // reachable blocks in reverse postorder
-  /// Per block: control can run past the last instruction of the procedure
-  /// from here (a missing terminator, or a conditional branch at the end).
-  /// Liveness treats the fall-off edge as reading every register.
-  std::vector<uint8_t> FallsOff;
+  std::vector<uint32_t> Rpo; // reachable blocks in reverse postorder
   /// True when some reachable block can fall through past the last
   /// instruction (into the next procedure) — lint L004.
   bool FallsOffEnd = false;
@@ -262,7 +262,9 @@ struct Cfg {
 
   /// Block \p B's predecessors.
   std::span<const uint32_t> preds(uint32_t B) const {
-    return {Preds.data() + PredBegin[B], PredBegin[B + 1] - PredBegin[B]};
+    uint32_t End = B + 1 < Blocks.size() ? Blocks[B + 1].PredBegin
+                                         : static_cast<uint32_t>(Preds.size());
+    return {Preds.data() + Blocks[B].PredBegin, End - Blocks[B].PredBegin};
   }
 };
 

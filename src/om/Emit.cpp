@@ -21,16 +21,13 @@
 
 #include "om/OmImpl.h"
 
-#include "om/Verify.h"
 #include "sched/ListScheduler.h"
 #include "support/Format.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <numeric>
 #include <set>
-#include <unordered_map>
 
 using namespace om64;
 using namespace om64::om;
@@ -43,98 +40,6 @@ namespace {
 uint64_t slotKey(uint32_t Group, uint32_t Sym) {
   return (static_cast<uint64_t>(Group) << 32) | Sym;
 }
-
-/// One layout round's results.
-struct DataLayout {
-  std::vector<uint64_t> GroupBase; // address of each group's GAT
-  std::vector<uint64_t> GpValue;
-  // slotKey(group, symId) -> slot index within that group's GAT.
-  std::unordered_map<uint64_t, uint32_t> Slot;
-  std::vector<std::vector<uint32_t>> GroupSyms; // slot -> symId
-  uint64_t DataBytes = 0; // initialized-data extent past the GATs
-  uint64_t BssBytes = 0;
-  uint64_t GatBytes = 0;
-};
-
-class Emitter {
-public:
-  Emitter(SymbolicProgram &SP, const OmOptions &Opts, OmStats &Stats,
-          OmContext &Ctx)
-      : SP(SP), Opts(Opts), Stats(Stats), Pool(Ctx.pool()), Ctx(Ctx) {}
-
-  Result<Image> run();
-
-private:
-  /// True when this address-load's literal must stay in the GAT because it
-  /// feeds a call (PV must hold the exact procedure address).
-  bool isCallLiteral(const LitInfo &L) const { return L.JsrIdx >= 0; }
-
-  /// Worst-case-then-shrink BSR relaxation (Dickson's linear-time jump
-  /// encoding, inverted to the shrink direction): start from a layout in
-  /// which every OM-created JSR->BSR conversion is reverted (maximal
-  /// text), then iteratively re-admit each conversion whose displacement
-  /// fits under the current layout, re-running offset assignment until no
-  /// call changes state. Sizes only shrink and 16-byte-aligned spans are
-  /// monotone in them, so an admitted call stays admitted and the loop
-  /// terminates. Reach is decided against the procedure order the profile
-  /// layout proposes (ProcOrder); compiler-emitted BSRs — which cannot
-  /// revert — are audited against the same fixpoint, vetoing first the
-  /// reorder and then the layout pass itself (LayoutAllowed) if they
-  /// cannot survive. Calls that stay reverted mutate back to their JSR
-  /// (un-nullifying the PV load) before the first layout so their
-  /// literals get GAT slots back. Serial decision order is the
-  /// determinism barrier; per-procedure size census runs on the pool.
-  /// Fails hard when a converted call's literal is missing — continuing
-  /// would leave an un-range-checked BSR in the image.
-  Error relaxDirectCalls();
-
-  /// Builds GAT contents and data addresses for the current decision
-  /// state. When \p IncludeAllLiterals, every address load contributes its
-  /// entry regardless of decisions (OM-simple / baseline behaviour).
-  DataLayout layoutData(bool IncludeAllLiterals) const;
-
-  /// One decision round; returns true if any load's fate changed.
-  bool decideAddressLoads(const DataLayout &DL, bool Commit);
-
-  /// Applies the recorded decisions' displacement rewrites against \p DL.
-  /// Fails (in every build mode) if a committed decision's displacement no
-  /// longer fits its field — e.g. after GAT shrinking moved a symbol —
-  /// rather than silently truncating the displacement into a miscompile.
-  Error applyRewrites(const DataLayout &DL);
-
-  void deleteNullified();
-  Error reschedule();
-  void instrumentProcedureCounts();
-  Result<Image> assemble(const DataLayout &DL);
-  void finalizeStats(const DataLayout &DL);
-
-  SymbolicProgram &SP;
-  const OmOptions &Opts;
-  OmStats &Stats;
-  ThreadPool &Pool;
-  OmContext &Ctx;
-
-public:
-  /// Labels of the inserted profile counters, in counter-index order.
-  std::vector<std::string> ProfiledSites;
-
-private:
-
-  // Per-proc layout of the final text.
-  std::vector<uint64_t> ProcBase;
-  std::vector<std::vector<uint32_t>> InstOffset; // per proc, per inst
-  uint64_t TextBytes = 0;
-
-  /// Procedure order proposed by the profile layout and validated by the
-  /// relaxation fixpoint; runProfileLayout applies exactly this
-  /// permutation. Empty means identity.
-  std::vector<uint32_t> ProcOrder;
-  /// Cleared by relaxDirectCalls when even the identity order cannot keep
-  /// every compiler BSR in reach once layout may insert fixups; run()
-  /// then skips the profile layout pass (the legacy whole-text bail,
-  /// now reached only when genuinely necessary).
-  bool LayoutAllowed = true;
-};
 
 } // namespace
 
@@ -403,7 +308,6 @@ Error Emitter::relaxDirectCalls() {
   // their original JSR through the (re-activated) GAT load. This runs
   // before the first data layout so reverted literals get GAT slots back.
   uint64_t Retained = 0;
-  bool AnyRevert = false;
   for (const Cand &C : Cands) {
     if (C.Admitted) {
       ++Retained;
@@ -434,11 +338,8 @@ Error Emitter::relaxDirectCalls() {
     Load.Nullified = false;
     checkedDecrement(Stats.JsrConvertedToBsr);
     ++Stats.BsrFallbackJsrs;
-    AnyRevert = true;
   }
   Stats.BsrRetainedByRelax += Retained;
-  if (AnyRevert)
-    Ctx.invalidate();
   return Error::success();
 }
 
@@ -462,8 +363,8 @@ bool Emitter::decideAddressLoads(const DataLayout &DL, bool Commit) {
       if (Load.Kind != SKind::AddressLoad || Load.Nullified ||
           Load.Converted)
         continue;
-      if (isCallLiteral(L))
-        continue; // PV must be the exact procedure address
+      if (L.JsrIdx >= 0)
+        continue; // feeds a call: PV must be the exact procedure address
       const PSym &Target = SP.Syms[L.TargetSym];
       if (Target.IsProc)
         continue; // escaping procedure address: must stay exact
@@ -638,11 +539,63 @@ Error Emitter::applyRewrites(const DataLayout &DL) {
   return Error::success();
 }
 
+Error Emitter::addressLoads() {
+  bool Full = Opts.Level == OmLevel::Full;
+  DL = layoutData(/*IncludeAllLiterals=*/!Full);
+  if (Opts.Level != OmLevel::None) {
+    if (Full) {
+      // Fixpoint: decisions shrink the GAT, which moves data closer to
+      // GP, which enables more decisions.
+      for (unsigned Round = 0; Round < 8; ++Round) {
+        bool Changed = decideAddressLoads(DL, /*Commit=*/true);
+        DataLayout Next = layoutData(/*IncludeAllLiterals=*/false);
+        bool Same = Next.GatBytes == DL.GatBytes;
+        DL = std::move(Next);
+        if (!Changed && Same)
+          break;
+      }
+    } else {
+      decideAddressLoads(DL, /*Commit=*/true);
+    }
+    if (Error E = applyRewrites(DL))
+      return E;
+  }
+
+  // Address-load accounting must precede deletion (deleted loads vanish).
+  // Neither the relaxation nor the decisions change an instruction count
+  // or an SKind, so the totals are the input's. Counts reduce in
+  // procedure order.
+  struct Loads {
+    uint64_t Total = 0, Converted = 0, Nullified = 0;
+  };
+  std::vector<Loads> LoadsOfProc(SP.Procs.size());
+  Pool.parallelFor(SP.Procs.size(), [&](size_t P) {
+    Loads &L = LoadsOfProc[P];
+    for (const SymInst &SI : SP.Procs[P].Insts)
+      if (SI.Kind == SKind::AddressLoad) {
+        ++L.Total;
+        if (SI.Converted)
+          ++L.Converted;
+        else if (SI.Nullified)
+          ++L.Nullified;
+      }
+  });
+  for (size_t P = 0; P < SP.Procs.size(); ++P) {
+    Stats.InstructionsTotal += SP.Procs[P].Insts.size();
+    Stats.AddressLoadsTotal += LoadsOfProc[P].Total;
+    Stats.AddressLoadsConverted += LoadsOfProc[P].Converted;
+    Stats.AddressLoadsNullified += LoadsOfProc[P].Nullified;
+  }
+  Stats.GatBytesBefore = SP.OriginalGatEntries * 8;
+  Stats.TextBytesBefore = Stats.InstructionsTotal * 4;
+  return Error::success();
+}
+
 //===----------------------------------------------------------------------===//
 // Deletion, rescheduling, alignment.
 //===----------------------------------------------------------------------===//
 
-void Emitter::deleteNullified() {
+Error Emitter::deleteNullified() {
   // Per-procedure compaction is independent; deletion counts reduce in
   // procedure order after the barrier.
   std::vector<uint64_t> DeletedInProc(SP.Procs.size(), 0);
@@ -670,7 +623,7 @@ void Emitter::deleteNullified() {
   // decisions are all complete by now, so drop the table to make any
   // accidental later use loud.
   SP.dropLiterals();
-  Ctx.invalidate();
+  return Error::success();
 }
 
 Error Emitter::reschedule() {
@@ -685,16 +638,6 @@ Error Emitter::reschedule() {
   const analysis::ProgramAnalysis *PA =
       Opts.Analysis ? &Ctx.program(analysis::AnalysisRequest::ValuesOnly)
                     : nullptr;
-  if (PA && Opts.Verify) {
-    auto Start = std::chrono::steady_clock::now();
-    Error E = verifyMemBaseRegions(SP, *PA, Pool);
-    Stats.Seconds.Verify +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      Start)
-            .count();
-    if (E)
-      return E;
-  }
 
   // Scheduling is a pure function of each procedure's instructions, so
   // procedures reschedule independently; freed-pair counts reduce in
@@ -734,11 +677,10 @@ Error Emitter::reschedule() {
   });
   for (uint64_t Count : FreedInProc)
     Stats.SchedMemDepsFreed += Count;
-  Ctx.invalidate();
   return Error::success();
 }
 
-void Emitter::instrumentProcedureCounts() {
+Error Emitter::instrumentProcedureCounts() {
   // ATOM-style counters (section 6). Entry counters go after each
   // procedure's GP prologue, where both fall-through entry and
   // prologue-skipping BSRs pass. With block counting on, every branch
@@ -764,7 +706,7 @@ void Emitter::instrumentProcedureCounts() {
     std::map<uint32_t, uint32_t> CounterAt;
     for (uint32_t At : Ascending) {
       CounterAt[At] = NextCounter++;
-      ProfiledSites.push_back(
+      Out.ProfiledProcedures.push_back(
           At == Proc.postPrologueIndex()
               ? Proc.Name
               : Proc.Name + "+" + std::to_string(At));
@@ -788,14 +730,23 @@ void Emitter::instrumentProcedureCounts() {
       ++Stats.InstrumentationInserted;
     }
   }
-  Ctx.invalidate();
+  return Error::success();
+}
+
+Error Emitter::profileLayout() {
+  // Last of the code-motion stages: every other transform is done, so the
+  // block structure the profile keyed against is final. The procedure
+  // order applied here is the one relaxDirectCalls already validated
+  // every BSR against.
+  return LayoutAllowed ? runProfileLayout(SP, Opts, Stats, Pool, ProcOrder)
+                       : Error::success();
 }
 
 //===----------------------------------------------------------------------===//
 // Final assembly.
 //===----------------------------------------------------------------------===//
 
-Result<Image> Emitter::assemble(const DataLayout &DL) {
+Error Emitter::assemble() {
   bool Align = Opts.Level == OmLevel::Full && Opts.AlignLoopTargets;
 
   // Per-procedure offsets, inserting alignment nops before targets of
@@ -850,7 +801,7 @@ Result<Image> Emitter::assemble(const DataLayout &DL) {
     SP.Syms[SP.Procs[ProcIdx].SymId].Addr =
         Layout::TextBase + ProcBase[ProcIdx];
 
-  Image Img;
+  Image &Img = Out.Image;
   Img.TextBase = Layout::TextBase;
   Img.DataBase = Layout::DataBase;
   Img.GatBase = Layout::DataBase;
@@ -979,7 +930,7 @@ Result<Image> Emitter::assemble(const DataLayout &DL) {
   });
   for (const std::string &Msg : EncodeErrors)
     if (!Msg.empty())
-      return Result<Image>::failure(Msg);
+      return Error::failure(Msg);
 
   // Data: GAT groups then data symbols.
   Img.Data.assign(DL.DataBytes, 0);
@@ -1024,14 +975,15 @@ Result<Image> Emitter::assemble(const DataLayout &DL) {
       Img.InitialGp = IP.GpValue;
     }
   }
-  return Img;
+  finalizeStats();
+  return Error::success();
 }
 
 //===----------------------------------------------------------------------===//
 // Statistics.
 //===----------------------------------------------------------------------===//
 
-void Emitter::finalizeStats(const DataLayout &DL) {
+void Emitter::finalizeStats() {
   Stats.GatBytesAfter = DL.GatBytes;
   Stats.GpGroups = SP.NumGroups;
   Stats.TextBytesAfter = TextBytes;
@@ -1093,170 +1045,4 @@ void Emitter::finalizeStats(const DataLayout &DL) {
     Stats.CallsTotal += C.Calls;
     Stats.CallsNeedingPvLoad += C.PvLoads;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Driver.
-//===----------------------------------------------------------------------===//
-
-Result<Image> Emitter::run() {
-  Stats.GatBytesBefore = SP.OriginalGatEntries * 8;
-  {
-    // Read-only census; counts reduce in procedure order.
-    std::vector<uint64_t> LoadsInProc(SP.Procs.size(), 0);
-    Pool.parallelFor(SP.Procs.size(), [&](size_t P) {
-      for (const SymInst &SI : SP.Procs[P].Insts)
-        if (SI.Kind == SKind::AddressLoad)
-          ++LoadsInProc[P];
-    });
-    for (size_t P = 0; P < SP.Procs.size(); ++P) {
-      Stats.InstructionsTotal += SP.Procs[P].Insts.size();
-      Stats.AddressLoadsTotal += LoadsInProc[P];
-    }
-  }
-  Stats.TextBytesBefore = Stats.InstructionsTotal * 4;
-
-  bool Full = Opts.Level == OmLevel::Full;
-  bool DoOpt = Opts.Level != OmLevel::None;
-
-  // Stage-granular invariant checking (om/Verify.h): each emission stage
-  // that mutates the symbolic form re-validates it before the next stage
-  // consumes it, so a verification failure names the guilty stage.
-  auto checkStage = [&](const char *Stage) -> Error {
-    if (!Opts.VerifyEachStage)
-      return Error::success();
-    auto Start = std::chrono::steady_clock::now();
-    Error E = verifyStage(SP, Stage, &Pool);
-    Stats.Seconds.Verify +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      Start)
-            .count();
-    return E;
-  };
-
-  auto AddrStart = std::chrono::steady_clock::now();
-  // Converted calls that could overrun the 21-bit BSR reach revert to
-  // their JSR before the first layout, so their literals keep GAT slots.
-  if (DoOpt)
-    if (Error E = relaxDirectCalls())
-      return Result<Image>::failure(E.message());
-  DataLayout DL = layoutData(/*IncludeAllLiterals=*/!Full);
-  if (DoOpt) {
-    if (Full) {
-      // Fixpoint: decisions shrink the GAT, which moves data closer to
-      // GP, which enables more decisions.
-      for (unsigned Round = 0; Round < 8; ++Round) {
-        bool Changed = decideAddressLoads(DL, /*Commit=*/true);
-        DataLayout Next = layoutData(/*IncludeAllLiterals=*/false);
-        bool Same = Next.GatBytes == DL.GatBytes;
-        DL = std::move(Next);
-        if (!Changed && Same)
-          break;
-      }
-    } else {
-      decideAddressLoads(DL, /*Commit=*/true);
-    }
-    Error RewriteErr = applyRewrites(DL);
-    Ctx.invalidate(); // decisions and rewrites changed the instructions
-    if (RewriteErr)
-      return Result<Image>::failure(RewriteErr.message());
-    Stats.Seconds.AddressLoads +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      AddrStart)
-            .count();
-    if (Error E = checkStage("address-loads"))
-      return Result<Image>::failure(E.message());
-  }
-
-  // Address-load accounting must precede deletion (deleted loads vanish).
-  {
-    std::vector<uint64_t> ConvInProc(SP.Procs.size(), 0);
-    std::vector<uint64_t> NullInProc(SP.Procs.size(), 0);
-    Pool.parallelFor(SP.Procs.size(), [&](size_t P) {
-      for (const SymInst &SI : SP.Procs[P].Insts)
-        if (SI.Kind == SKind::AddressLoad) {
-          if (SI.Converted)
-            ++ConvInProc[P];
-          else if (SI.Nullified)
-            ++NullInProc[P];
-        }
-    });
-    for (size_t P = 0; P < SP.Procs.size(); ++P) {
-      Stats.AddressLoadsConverted += ConvInProc[P];
-      Stats.AddressLoadsNullified += NullInProc[P];
-    }
-  }
-
-  // Deletion and code motion happen only at full level; counts feed the
-  // statistics either way.
-  if (Full) {
-    auto MotionStart = std::chrono::steady_clock::now();
-    auto motionSeconds = [&] {
-      Stats.Seconds.CodeMotion +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        MotionStart)
-              .count();
-      MotionStart = std::chrono::steady_clock::now();
-    };
-    deleteNullified();
-    motionSeconds();
-    if (Error E = checkStage("delete-nullified"))
-      return Result<Image>::failure(E.message());
-    if (Opts.Reschedule) {
-      MotionStart = std::chrono::steady_clock::now();
-      const double VerifyBefore = Stats.Seconds.Verify;
-      Error SchedErr = reschedule();
-      motionSeconds();
-      // The --verify region check inside counts as verify time only.
-      Stats.Seconds.CodeMotion -= Stats.Seconds.Verify - VerifyBefore;
-      if (SchedErr)
-        return Result<Image>::failure(SchedErr.message());
-      if (Error E = checkStage("reschedule"))
-        return Result<Image>::failure(E.message());
-    }
-    if (Opts.InstrumentProcedureCounts) {
-      MotionStart = std::chrono::steady_clock::now();
-      instrumentProcedureCounts();
-      motionSeconds();
-      if (Error E = checkStage("instrument"))
-        return Result<Image>::failure(E.message());
-    }
-    if (Opts.HotColdLayout && LayoutAllowed) {
-      // Last of the code-motion stages: every other transform is done, so
-      // the block structure the profile keyed against is final. The
-      // procedure order applied here is the one relaxDirectCalls already
-      // validated every BSR against.
-      MotionStart = std::chrono::steady_clock::now();
-      std::string LayoutErr;
-      bool Ok = runProfileLayout(SP, Opts, Stats, Pool, LayoutErr, ProcOrder);
-      Ctx.invalidate();
-      motionSeconds();
-      if (!Ok)
-        return Result<Image>::failure(LayoutErr);
-      if (Error E = checkStage("profile-layout"))
-        return Result<Image>::failure(E.message());
-    }
-  }
-
-  auto AssembleStart = std::chrono::steady_clock::now();
-  Result<Image> Img = assemble(DL);
-  Stats.Seconds.Assemble +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    AssembleStart)
-          .count();
-  if (!Img)
-    return Img;
-  finalizeStats(DL);
-  return Img;
-}
-
-Result<Image> om64::om::layoutAndEmit(SymbolicProgram &SP,
-                                      const OmOptions &Opts,
-                                      OmStats &Stats,
-                                      std::vector<std::string> &Sites,
-                                      OmContext &Ctx) {
-  Emitter E(SP, Opts, Stats, Ctx);
-  Result<Image> Img = E.run();
-  Sites = std::move(E.ProfiledSites);
-  return Img;
 }

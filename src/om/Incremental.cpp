@@ -9,9 +9,8 @@
 #include "support/ByteStream.h"
 #include "support/ContentHash.h"
 #include "support/Format.h"
+#include "support/Stopwatch.h"
 #include "support/ThreadPool.h"
-
-#include <chrono>
 
 using namespace om64;
 using namespace om64::om;
@@ -67,7 +66,7 @@ Result<RelinkResult>
 IncrementalLinker::relink(const std::vector<std::vector<uint8_t>> &Modules) {
   if (!OptionsError.empty())
     return Result<RelinkResult>::failure(OptionsError);
-  auto Start = std::chrono::steady_clock::now();
+  Stopwatch Clock;
   RelinkResult Out;
   Out.Stats.Warm = !Cold;
   Out.Stats.ModulesTotal = Modules.size();
@@ -91,10 +90,7 @@ IncrementalLinker::relink(const std::vector<std::vector<uint8_t>> &Modules) {
     Out.ImageBytes = LastImageBytes;
     Out.LintReport = LastLintReport;
     Out.LintFindings = LastLintFindings;
-    Out.Stats.Seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      Start)
-            .count();
+    Out.Stats.Seconds = Clock.seconds();
     return Out;
   }
 
@@ -115,10 +111,7 @@ IncrementalLinker::relink(const std::vector<std::vector<uint8_t>> &Modules) {
     ++Out.Stats.ModulesReparsed;
   }
 
-  uint64_t TotalInsts = 0;
-  for (const obj::ObjectFile &O : Objs)
-    TotalInsts += O.Text.size() / 4;
-  ThreadPool Pool(effectiveJobs(Opts, TotalInsts));
+  ThreadPool Pool(effectiveJobs(Opts, Objs));
 
   Lifts.CurrentHashes = ModuleHashes;
   Result<OmResult> R = runPipeline(Objs, Opts, Pool, &Lifts, Summaries);
@@ -143,8 +136,6 @@ IncrementalLinker::relink(const std::vector<std::vector<uint8_t>> &Modules) {
 
   Summaries.trim(CacheBudget);
 
-  Out.Stats.Seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
+  Out.Stats.Seconds = Clock.seconds();
   return Out;
 }

@@ -594,13 +594,12 @@ om64::om::proposeProcOrder(const SymbolicProgram &SP, const OmOptions &Opts) {
   return NewOrder;
 }
 
-bool om64::om::runProfileLayout(SymbolicProgram &SP, const OmOptions &Opts,
-                                OmStats &Stats, ThreadPool &Pool,
-                                std::string &Err,
-                                const std::vector<uint32_t> &ProcOrder) {
+Error om64::om::runProfileLayout(SymbolicProgram &SP, const OmOptions &Opts,
+                                 OmStats &Stats, ThreadPool &Pool,
+                                 const std::vector<uint32_t> &ProcOrder) {
   const prof::Profile &Prof = Opts.Profile;
   if (Prof.empty() || SP.Procs.empty())
-    return true;
+    return Error::success();
 
   // No whole-text reach gate here any more: the BSR relaxation fixpoint
   // already decided every OM-created call's reach against exactly the
@@ -642,10 +641,8 @@ bool om64::om::runProfileLayout(SymbolicProgram &SP, const OmOptions &Opts,
   });
   for (size_t Idx = 0; Idx < SP.Procs.size(); ++Idx) {
     ProcLayout &R = Results[Idx];
-    if (!R.Err.empty()) {
-      Err = "profile layout: " + R.Err;
-      return false;
-    }
+    if (!R.Err.empty())
+      return Error::failure("profile layout: " + R.Err);
     if (!R.Changed)
       continue;
     SP.Procs[Idx].Insts = std::move(R.NewInsts);
@@ -658,11 +655,9 @@ bool om64::om::runProfileLayout(SymbolicProgram &SP, const OmOptions &Opts,
   // Procedure order: apply the permutation the relaxation fixpoint
   // already validated (proposeProcOrder); empty means identity.
   if (ProcOrder.empty())
-    return true;
-  if (ProcOrder.size() != SP.Procs.size()) {
-    Err = "profile layout: procedure order size mismatch";
-    return false;
-  }
+    return Error::success();
+  if (ProcOrder.size() != SP.Procs.size())
+    return Error::failure("profile layout: procedure order size mismatch");
   const std::vector<uint32_t> &NewOrder = ProcOrder;
 
   std::vector<uint32_t> NewIdxOfOld(SP.Procs.size());
@@ -680,5 +675,5 @@ bool om64::om::runProfileLayout(SymbolicProgram &SP, const OmOptions &Opts,
     for (SymInst &SI : Proc.Insts)
       if (SI.Kind == SKind::DirectCall && SI.TargetProc != ~0u)
         SI.TargetProc = NewIdxOfOld[SI.TargetProc];
-  return true;
+  return Error::success();
 }

@@ -79,14 +79,15 @@ struct OmOptions {
   /// (omlink --analysis; the AnalysisXxx counters report the extra wins).
   bool Analysis = false;
   /// Run OmVerify's structural invariant checks (om/Verify.h) after the
-  /// lift and after the call transforms; an invariant violation aborts the
-  /// link with stage-labeled diagnostics instead of emitting a miscompiled
-  /// image. With Analysis it also re-derives every dataflow-justified
-  /// deletion's proof on the mutated program (om/Verify.h:
-  /// verifyDeletionProofs).
+  /// lift, the call transforms and assembly; an invariant violation aborts
+  /// the link with stage-labeled diagnostics instead of emitting a
+  /// miscompiled image. With Analysis it also re-derives every dataflow-
+  /// justified deletion's proof on the mutated program (om/Verify.h:
+  /// verifyDeletionProofs) and the rescheduler's base regions.
   bool Verify = false;
-  /// Additionally verify between every emission stage (address-load
-  /// rewriting, deletion, rescheduling, instrumentation). Implies Verify.
+  /// Additionally verify after every stage that changes the symbolic form
+  /// (relaxation, address loads, deletion, rescheduling, instrumentation,
+  /// profile layout). Implies Verify.
   bool VerifyEachStage = false;
   /// Worker threads for the per-procedure pipeline stages (lift, call
   /// transforms, deletion, rescheduling, per-procedure verification, and
@@ -129,8 +130,10 @@ struct OmOptions {
 
 /// Wall-clock seconds per pipeline stage of one OM run (omlink --stats /
 /// --stats-json). AddressLoads covers BSR relaxation, the layout/decision
-/// fixpoint, and displacement rewriting; CodeMotion covers deletion,
-/// rescheduling, and instrumentation.
+/// fixpoint, displacement rewriting and the address-load counts;
+/// CodeMotion covers deletion, rescheduling, instrumentation and profile
+/// layout; Verify covers every OmVerify check. Without --lint the six
+/// buckets sum to Total.
 struct OmStageSeconds {
   double Lift = 0;
   double CallTransforms = 0;

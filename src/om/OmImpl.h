@@ -15,6 +15,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace om64 {
@@ -22,10 +23,11 @@ namespace om {
 
 /// Shared state of one OM run that the phases thread through: the dataflow
 /// analysis (om/Analysis.h), computed lazily and cached per mutation epoch.
-/// Every transform that changes the symbolic form calls invalidate(); the
-/// next program() call recomputes against the mutated program, so no phase
-/// can consume facts derived from a shape that no longer exists (the same
-/// bug class OmVerify exists for, closed structurally). Through the link's
+/// The stage loop calls invalidate() after every stage that mutates (a
+/// stage that mutates, then reads, calls it in between); the next program()
+/// call recomputes against the mutated program, so no phase can consume
+/// facts derived from a shape that no longer exists (the same bug class
+/// OmVerify exists for, closed structurally). Through the link's
 /// SummaryCache, a recompute re-derives only what the mutation moved.
 ///
 /// Which run computes what, in an OM-full link with --analysis: the lint
@@ -193,18 +195,107 @@ struct GroupReachability {
 GroupReachability computeReachableGroups(const SymbolicProgram &SP,
                                          ThreadPool &Pool);
 
-/// Layout, address-load conversion/nullification (to a fixpoint for
-/// OM-full), deletion, optional rescheduling and loop alignment,
-/// instrumentation, and image emission. Fills the remaining Stats fields
-/// and the labels of any inserted profile counters. Layout and the GAT
-/// fixpoint stay single-threaded; deletion, rescheduling, and instruction
-/// encoding fan out per procedure on \p Ctx's pool. With Opts.Analysis and
-/// Opts.Reschedule, the rescheduler consumes \p Ctx's base-register
-/// classification to relax memory ordering across proven-disjoint bases.
-Result<obj::Image> layoutAndEmit(SymbolicProgram &SP, const OmOptions &Opts,
-                                 OmStats &Stats,
-                                 std::vector<std::string> &Sites,
-                                 OmContext &Ctx);
+/// One data layout round's results.
+struct DataLayout {
+  std::vector<uint64_t> GroupBase; // address of each group's GAT
+  std::vector<uint64_t> GpValue;
+  // slotKey(group, symId) -> slot index within that group's GAT.
+  std::unordered_map<uint64_t, uint32_t> Slot;
+  std::vector<std::vector<uint32_t>> GroupSyms; // slot -> symId
+  uint64_t DataBytes = 0; // initialized-data extent past the GATs
+  uint64_t BssBytes = 0;
+  uint64_t GatBytes = 0;
+};
+
+/// The layout-dependent half of OM (Emit.cpp). Each public member is one
+/// row of runPipeline's stage table; together they fill \p Out's image,
+/// its remaining Stats and the labels of any inserted profile counters.
+/// Layout and the GAT fixpoint stay serial; deletion, rescheduling, and
+/// encoding fan out per procedure on \p Ctx's pool. With Opts.Analysis,
+/// the rescheduler consumes \p Ctx's base-register classification.
+class Emitter {
+public:
+  Emitter(SymbolicProgram &SP, const OmOptions &Opts, OmResult &Out,
+          OmContext &Ctx)
+      : SP(SP), Opts(Opts), Out(Out), Stats(Out.Stats), Pool(Ctx.pool()),
+        Ctx(Ctx) {}
+
+  /// Worst-case-then-shrink BSR relaxation (Dickson's linear-time jump
+  /// encoding, inverted to the shrink direction): start from a layout in
+  /// which every OM-created JSR->BSR conversion is reverted (maximal
+  /// text), then iteratively re-admit each conversion whose displacement
+  /// fits under the current layout, re-running offset assignment until no
+  /// call changes state. Sizes only shrink and 16-byte-aligned spans are
+  /// monotone in them, so an admitted call stays admitted and the loop
+  /// terminates. Reach is decided against the procedure order the profile
+  /// layout proposes (ProcOrder); compiler-emitted BSRs — which cannot
+  /// revert — are audited against the same fixpoint, vetoing first the
+  /// reorder and then the layout pass itself (LayoutAllowed) if they
+  /// cannot survive. Calls that stay reverted mutate back to their JSR
+  /// (un-nullifying the PV load) before the first layout so their
+  /// literals get GAT slots back. Serial decision order is the
+  /// determinism barrier; per-procedure size census runs on the pool.
+  /// Fails hard when a converted call's literal is missing — continuing
+  /// would leave an un-range-checked BSR in the image.
+  Error relaxDirectCalls();
+
+  /// Lays out the GAT and data, decides every address load's fate (to a
+  /// fixpoint at OM-full), rewrites displacements, and counts the loads.
+  Error addressLoads();
+
+  Error deleteNullified();
+  Error reschedule();
+  Error instrumentProcedureCounts();
+
+  /// runProfileLayout with the order relaxDirectCalls validated, unless
+  /// the relaxation vetoed the pass.
+  Error profileLayout();
+
+  /// Encodes the image into Out.Image and fills the remaining statistics.
+  Error assemble();
+
+private:
+  /// Builds GAT contents and data addresses for the current decision
+  /// state. When \p IncludeAllLiterals, every address load contributes its
+  /// entry regardless of decisions (OM-simple / baseline behaviour).
+  DataLayout layoutData(bool IncludeAllLiterals) const;
+
+  /// One decision round; returns true if any load's fate changed.
+  bool decideAddressLoads(const DataLayout &DL, bool Commit);
+
+  /// Applies the recorded decisions' displacement rewrites against \p DL.
+  /// Fails (in every build mode) if a committed decision's displacement no
+  /// longer fits its field — e.g. after GAT shrinking moved a symbol —
+  /// rather than silently truncating the displacement into a miscompile.
+  Error applyRewrites(const DataLayout &DL);
+
+  void finalizeStats();
+
+  SymbolicProgram &SP;
+  const OmOptions &Opts;
+  OmResult &Out;
+  OmStats &Stats;
+  ThreadPool &Pool;
+  OmContext &Ctx;
+
+  /// The data layout addressLoads settled on; assemble emits against it.
+  DataLayout DL;
+
+  // Per-proc layout of the final text.
+  std::vector<uint64_t> ProcBase;
+  std::vector<std::vector<uint32_t>> InstOffset; // per proc, per inst
+  uint64_t TextBytes = 0;
+
+  /// Procedure order proposed by the profile layout and validated by the
+  /// relaxation fixpoint; runProfileLayout applies exactly this
+  /// permutation. Empty means identity.
+  std::vector<uint32_t> ProcOrder;
+  /// Cleared by relaxDirectCalls when even the identity order cannot keep
+  /// every compiler BSR in reach once layout may insert fixups;
+  /// profileLayout then skips the pass (the legacy whole-text bail, now
+  /// reached only when genuinely necessary).
+  bool LayoutAllowed = true;
+};
 
 /// Profile-guided hot/cold layout (OmOptions::HotColdLayout): reorders
 /// each procedure's basic blocks by branch heat, splits never-executed
@@ -218,11 +309,10 @@ Result<obj::Image> layoutAndEmit(SymbolicProgram &SP, const OmOptions &Opts,
 /// \p Pool; the remap is serial, so the result is identical for any pool
 /// size. Procedures the profile does not cover, covers with a mismatched
 /// branch count, or that contain computed jumps / split GP pairs are left
-/// untouched. Returns false (with \p Err set) only on an internal
-/// invariant failure.
-bool runProfileLayout(SymbolicProgram &SP, const OmOptions &Opts,
-                      OmStats &Stats, ThreadPool &Pool, std::string &Err,
-                      const std::vector<uint32_t> &ProcOrder);
+/// untouched. Fails only on an internal invariant failure.
+Error runProfileLayout(SymbolicProgram &SP, const OmOptions &Opts,
+                       OmStats &Stats, ThreadPool &Pool,
+                       const std::vector<uint32_t> &ProcOrder);
 
 /// Resolves option implications into the exact configuration the pipeline
 /// runs: OmLevel::None clears the layout-changing knobs, block-count
@@ -235,17 +325,20 @@ bool runProfileLayout(SymbolicProgram &SP, const OmOptions &Opts,
 /// link would.
 Result<OmOptions> canonicalizeOptions(const OmOptions &Opts);
 
-/// The worker count the pipeline will actually use for \p Opts on an input
-/// of \p TotalInsts text instructions: Opts.Jobs, forced to 1 below the
+/// The worker count the pipeline will actually use for \p Opts on \p Objs:
+/// Opts.Jobs, forced to 1 when their text instructions total less than the
 /// serial-fallback cutoff. The image never depends on the result.
-unsigned effectiveJobs(const OmOptions &Opts, uint64_t TotalInsts);
+unsigned effectiveJobs(const OmOptions &Opts,
+                       const std::vector<obj::ObjectFile> &Objs);
 
-/// The OM pipeline proper: lift, verify, call transforms, verify, layout
-/// and emit — everything optimize() does after option canonicalization
-/// and pool selection. \p Opts must already be canonicalized. \p LC is an
-/// optional lift memo; \p SC the analysis memo (fresh per optimize(), or
-/// the relinker's), whose counter growth fills the Analysis* work stats.
-/// Any combination produces a byte-identical image.
+/// The OM pipeline proper — everything optimize() does after option
+/// canonicalization and pool selection: one loop over Om.cpp's stage
+/// table, which times every stage into its OmStageSeconds bucket, runs
+/// OmVerify's checks, and invalidates the analysis after every stage that
+/// changes the symbolic form. \p Opts must already be canonicalized. \p LC
+/// is an optional lift memo; \p SC the analysis memo (fresh per
+/// optimize(), or the relinker's), whose counter growth fills the
+/// Analysis* work stats. Any combination produces a byte-identical image.
 Result<OmResult> runPipeline(const std::vector<obj::ObjectFile> &Objs,
                              const OmOptions &Opts, ThreadPool &Pool,
                              LiftCache *LC, analysis::SummaryCache &SC);

@@ -376,7 +376,6 @@ void runAnalysisDeletions(SymbolicProgram &SP, OmStats &Stats,
       }
     });
   }
-  Ctx.invalidate();
 
   for (size_t Idx = 0; Idx < NumProcs; ++Idx) {
     Stats.AnalysisGpPairsDeleted += PairCount[Idx];
@@ -562,6 +561,4 @@ void om64::om::runCallTransforms(SymbolicProgram &SP, const OmOptions &Opts,
   // pattern baseline.
   if (Full && Opts.Analysis)
     runAnalysisDeletions(SP, Stats, Ctx);
-  else
-    Ctx.invalidate();
 }

@@ -16,6 +16,7 @@
 #include "om/Analysis.h"
 #include "om/OmImpl.h"
 #include "sim/SuiteRunner.h"
+#include "support/Diagnostics.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -30,6 +31,14 @@ using namespace om64::obj;
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// A check's verdict: success when \p Diags holds no error, else a failure
+/// whose message is \p Heading and the rendered diagnostics.
+Error checkResult(const DiagnosticEngine &Diags, const std::string &Heading) {
+  if (!Diags.hasErrors())
+    return Error::success();
+  return Error::failure(Heading + ":\n" + Diags.render());
+}
 
 /// Bundles the diagnostic plumbing so every check site stays one line.
 class Checker {
@@ -308,11 +317,9 @@ void Checker::checkLits() {
 
 } // namespace
 
-unsigned om64::om::verifyStructure(const SymbolicProgram &SP,
-                                   const std::string &Stage,
-                                   DiagnosticEngine &Diags,
-                                   ThreadPool *Pool) {
-  unsigned Before = Diags.errorCount();
+Error om64::om::verifyStage(const SymbolicProgram &SP,
+                            const std::string &Stage, ThreadPool *Pool) {
+  DiagnosticEngine Diags;
   {
     Checker C(SP, Stage, Diags);
     C.checkSymbols();
@@ -337,16 +344,8 @@ unsigned om64::om::verifyStructure(const SymbolicProgram &SP,
     Checker C(SP, Stage, Diags);
     C.checkLits();
   }
-  return Diags.errorCount() - Before;
-}
-
-Error om64::om::verifyStage(const SymbolicProgram &SP,
-                            const std::string &Stage, ThreadPool *Pool) {
-  DiagnosticEngine Diags;
-  if (verifyStructure(SP, Stage, Diags, Pool) == 0)
-    return Error::success();
-  return Error::failure("OM invariant check failed after stage '" + Stage +
-                        "':\n" + Diags.render());
+  return checkResult(Diags,
+                     "OM invariant check failed after stage '" + Stage + "'");
 }
 
 //===----------------------------------------------------------------------===//
@@ -451,9 +450,7 @@ Error om64::om::verifyDeletionProofs(const SymbolicProgram &SP,
     }
   }
 
-  if (!Diags.hasErrors())
-    return Error::success();
-  return Error::failure("OM deletion-proof check failed:\n" + Diags.render());
+  return checkResult(Diags, "OM deletion-proof check failed");
 }
 
 Error om64::om::verifyMemBaseRegions(const SymbolicProgram &SP,
@@ -492,10 +489,7 @@ Error om64::om::verifyMemBaseRegions(const SymbolicProgram &SP,
   DiagnosticEngine Diags;
   for (DiagnosticEngine &E : PerProc)
     Diags.append(std::move(E));
-  if (!Diags.hasErrors())
-    return Error::success();
-  return Error::failure("OM scheduler-region check failed:\n" +
-                        Diags.render());
+  return checkResult(Diags, "OM scheduler-region check failed");
 }
 
 //===----------------------------------------------------------------------===//

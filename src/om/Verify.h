@@ -16,7 +16,7 @@
 /// existential and verify between passes; OmVerify does the same here, at
 /// two layers:
 ///
-///   1. verifyStructure / verifyStage: a structural invariant check over a
+///   1. verifyStage: a structural invariant check over a
 ///      SymbolicProgram, runnable after lift and after every transform
 ///      stage. Violations are reported through support/Diagnostics with the
 ///      stage name, procedure, and 1-based instruction index, so a broken
@@ -35,7 +35,6 @@
 
 #include "om/Om.h"
 #include "om/SymbolicProgram.h"
-#include "support/Diagnostics.h"
 #include "support/Result.h"
 #include "support/ThreadPool.h"
 
@@ -50,9 +49,10 @@ namespace analysis {
 struct ProgramAnalysis;
 } // namespace analysis
 
-/// Checks the structural invariants of \p SP and appends one diagnostic per
-/// violation to \p Diags (buffer name "<stage>:<procedure>", line = 1-based
-/// instruction index). Returns the number of violations found.
+/// Checks the structural invariants of \p SP after stage \p Stage. Fails
+/// with an Error whose message carries one rendered diagnostic per
+/// violation (buffer name "<stage>:<procedure>", line = 1-based
+/// instruction index).
 ///
 /// Invariants:
 ///   * symbol/procedure cross-references are in range and mutually
@@ -69,14 +69,8 @@ struct ProgramAnalysis;
 ///     and does not feed an escaping literal.
 ///
 /// When \p Pool is non-null the per-procedure checks run on its workers,
-/// each into a private engine; the engines are merged into \p Diags in
-/// procedure order, so the diagnostics are identical at any pool size.
-unsigned verifyStructure(const SymbolicProgram &SP, const std::string &Stage,
-                         DiagnosticEngine &Diags,
-                         ThreadPool *Pool = nullptr);
-
-/// Runs verifyStructure and folds any violations into an Error whose
-/// message carries the rendered diagnostics. Success when none were found.
+/// each into a private engine; the engines are merged in procedure order,
+/// so the diagnostics are identical at any pool size.
 Error verifyStage(const SymbolicProgram &SP, const std::string &Stage,
                   ThreadPool *Pool = nullptr);
 

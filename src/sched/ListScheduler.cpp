@@ -207,7 +207,10 @@ std::vector<size_t> om64::sched::scheduleWithBarriers(
          "base classification must parallel the instructions");
   std::vector<size_t> Order;
   Order.reserve(Insts.size());
-  Scratch S;
+  // One scratch per thread, kept across calls: OM reschedules each
+  // procedure with its own call, and a call allocates scratch only for a
+  // region larger than any its thread has scheduled before.
+  thread_local Scratch S;
   size_t RegionStart = 0;
   auto flushRegion = [&](size_t End) {
     size_t Len = End - RegionStart;

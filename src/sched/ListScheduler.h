@@ -28,9 +28,10 @@
 /// the compiler's alias information; so does the compile-time scheduler
 /// here, keeping the two comparable).
 ///
-/// Each call owns one scratch (flat CSR dependence arrays, per-instruction
-/// and per-register-unit buffers) reused for all of its regions, so a
-/// region allocates nothing once the buffers fit the largest one. The issue
+/// scheduleWithBarriers keeps one scratch per thread (flat CSR dependence
+/// arrays, per-instruction and per-register-unit buffers) across all its
+/// calls and regions, so a region allocates nothing once the buffers fit
+/// the largest one; scheduleRegion owns one per call. The issue
 /// loop scans only ready instructions and picks the greatest height, ties
 /// to the lowest index: the same choice as a scan of the whole region.
 ///

@@ -8,9 +8,9 @@
 
 #include "support/FileIO.h"
 #include "support/Format.h"
+#include "support/Stopwatch.h"
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include <sys/socket.h>
@@ -105,7 +105,7 @@ void Daemon::handleConnection(int Fd) {
     ::close(Fd);
     return;
   }
-  auto Start = std::chrono::steady_clock::now();
+  Stopwatch Clock;
   switch (F->Type) {
   case MsgType::PingRequest:
     Resp.Message = "pong";
@@ -129,10 +129,7 @@ void Daemon::handleConnection(int Fd) {
     Resp.Message = "unexpected Response frame from client";
     break;
   }
-  Resp.Micros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - Start)
-          .count());
+  Resp.Micros = static_cast<uint64_t>(Clock.seconds() * 1e6);
   // Reaching the request bound must wake the accept loop, which is
   // usually already blocked in accept() again by now; without the
   // explicit stop the daemon would idle forever waiting for a request

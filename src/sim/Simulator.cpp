@@ -9,10 +9,10 @@
 #include "isa/Disassembler.h"
 #include "isa/Inst.h"
 #include "support/Format.h"
+#include "support/Stopwatch.h"
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -1432,13 +1432,10 @@ Result<SimResult> om64::sim::run(const Image &Img, const SimConfig &Cfg) {
     if (Error E = checkCache("D", Cfg.DCache, 1))
       return Result<SimResult>::failure(E.message());
   }
-  auto Start = std::chrono::steady_clock::now();
+  Stopwatch Clock;
   Machine M(Img, Cfg);
   Result<SimResult> R = M.run();
   if (R)
-    R->HostSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      Start)
-            .count();
+    R->HostSeconds = Clock.seconds();
   return R;
 }

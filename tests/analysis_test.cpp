@@ -126,7 +126,7 @@ TEST(CfgTest, DiamondDominators) {
   EXPECT_EQ(C.BlockOf[3], 2u);
   EXPECT_EQ(C.BlockOf[4], 3u);
   for (uint32_t B = 0; B < 4; ++B)
-    EXPECT_TRUE(C.Reachable[B]) << "block " << B;
+    EXPECT_TRUE(C.Blocks[B].Reachable) << "block " << B;
   // The entry dominates everything; neither arm dominates the join.
   for (uint32_t B = 0; B < 4; ++B)
     EXPECT_TRUE(D.dominates(0, B));
@@ -189,9 +189,9 @@ TEST(CfgTest, UnreachableAndFallOff) {
   Cfg C = buildCfg(P);
   Dominators D = computeDominators(C);
   ASSERT_EQ(C.Blocks.size(), 3u);
-  EXPECT_TRUE(C.Reachable[0]);
-  EXPECT_FALSE(C.Reachable[1]);
-  EXPECT_TRUE(C.Reachable[2]);
+  EXPECT_TRUE(C.Blocks[0].Reachable);
+  EXPECT_FALSE(C.Blocks[1].Reachable);
+  EXPECT_TRUE(C.Blocks[2].Reachable);
   EXPECT_TRUE(C.FallsOffEnd);
   // Unreachable blocks dominate nothing and are dominated by nothing.
   EXPECT_FALSE(D.dominates(0, 1));

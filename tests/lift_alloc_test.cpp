@@ -9,12 +9,14 @@
 // records its literals in a few flat buffers, so the lift allocates per
 // procedure and per symbol, never per literal. At a fixed procedure
 // count, doubling a program's literals must not double the lift's
-// allocations. This executable replaces the global operator new with a
-// counting one, which is why it is a test program of its own.
+// allocations, nor those of reading the objects it lifts. This
+// executable replaces the global operator new with a counting one, which
+// is why it is a test program of its own.
 //
 //===----------------------------------------------------------------------===//
 
 #include "megagen/MegaGen.h"
+#include "objfile/ObjectFile.h"
 #include "om/OmImpl.h"
 
 #include <gtest/gtest.h>
@@ -60,22 +62,28 @@ using namespace om64::om;
 
 namespace {
 
-struct LiftCount {
-  uint64_t Allocations = 0;
-  size_t Literals = 0;
-  size_t Procs = 0;
-};
-
-/// Heap allocations made by one serial lift of a megagen program of
-/// \p Insts instructions in 4 modules of 16 procedures each.
-LiftCount liftAllocations(uint64_t Insts) {
+/// A megagen program of \p Insts instructions in 4 modules of 16
+/// procedures each: more instructions means more literals, not more
+/// procedures.
+megagen::MegaProgram program(uint64_t Insts) {
   megagen::MegaSpec Spec;
   Spec.Seed = 5;
   Spec.Shape = megagen::CallShape::Mixed;
   Spec.Modules = 4;
   Spec.ProcsPerModule = 16;
   Spec.TargetInstructions = Insts;
-  megagen::MegaProgram MP = megagen::generate(Spec);
+  return megagen::generate(Spec);
+}
+
+struct LiftCount {
+  uint64_t Allocations = 0;
+  size_t Literals = 0;
+  size_t Procs = 0;
+};
+
+/// Heap allocations made by one serial lift of program(\p Insts).
+LiftCount liftAllocations(uint64_t Insts) {
+  megagen::MegaProgram MP = program(Insts);
   OmOptions Opts;
   ThreadPool Pool(1);
   uint64_t Before = NumAllocations.load();
@@ -104,6 +112,27 @@ TEST(LiftAllocTest, AllocationsDoNotScaleWithLiterals) {
   EXPECT_LE(Many.Allocations, Few.Allocations * 5 / 4)
       << Few.Allocations << " allocations for " << Few.Literals
       << " literals, " << Many.Allocations << " for " << Many.Literals;
+}
+
+/// Heap allocations made by deserializing (and so verifying) every
+/// module of program(\p Insts).
+uint64_t deserializeAllocations(uint64_t Insts) {
+  std::vector<std::vector<uint8_t>> Bytes;
+  for (const obj::ObjectFile &O : program(Insts).Objects)
+    Bytes.push_back(O.serialize());
+  uint64_t Before = NumAllocations.load();
+  for (const std::vector<uint8_t> &B : Bytes)
+    EXPECT_TRUE(bool(obj::ObjectFile::deserialize(B)));
+  return NumAllocations.load() - Before;
+}
+
+TEST(LiftAllocTest, DeserializeAllocationsDoNotScaleWithLiterals) {
+  // verify() checks every lituse against its procedure's literals; a node
+  // per LITERAL (an ordered set) nearly doubles the count here.
+  uint64_t Few = deserializeAllocations(40000);
+  uint64_t Many = deserializeAllocations(80000);
+  EXPECT_LE(Many, Few * 5 / 4) << Few << " allocations for the smaller "
+                               << "program, " << Many << " for the larger";
 }
 
 } // namespace

@@ -4,11 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Pins the list scheduler's allocation behaviour: a walk reuses one set
-// of scratch buffers for all of its regions, so once they have grown to
-// the largest region, further regions allocate nothing. This executable
-// replaces the global operator new with a counting one, which is why it
-// is a test program of its own.
+// Pins the list scheduler's allocation behaviour: a thread reuses one set
+// of scratch buffers for all the regions of all its walks, so once they
+// have grown to the largest region, further regions allocate nothing.
+// This executable replaces the global operator new with a counting one,
+// which is why it is a test program of its own.
 //
 //===----------------------------------------------------------------------===//
 
@@ -102,6 +102,17 @@ TEST(SchedAllocTest, RegionsReuseOneScratch) {
   EXPECT_LE(AllocMany, AllocFew + 64)
       << AllocFew << " allocations for 10 regions, " << AllocMany
       << " for 10,000";
+}
+
+TEST(SchedAllocTest, CallsOnOneThreadReuseOneScratch) {
+  // OM reschedules every procedure with its own call; a thread keeps its
+  // scratch across calls, so once a call has grown it, another call over
+  // regions no larger allocates only the order it returns.
+  Program P = regions(100);
+  size_t Scheduled = 0;
+  allocationsOf(P, Scheduled);
+  EXPECT_EQ(allocationsOf(P, Scheduled), 1u);
+  EXPECT_EQ(Scheduled, P.Code.size());
 }
 
 } // namespace

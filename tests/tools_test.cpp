@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -363,6 +364,46 @@ TEST_F(ToolchainTest, VerifyEachStagePassesAtEveryLevel) {
     EXPECT_EQ(runCommand(toolsDir() + "/aaxrun " + Dir + "/v.aaxe", Run),
               6);
     EXPECT_EQ(Run, "30\n");
+  }
+}
+
+TEST_F(ToolchainTest, StageSecondsAccountForTheWholeLink) {
+  // Every moment of a link without --lint is charged to one of the six
+  // stage_seconds buckets, checks included, so they sum to the total.
+  std::string Out;
+  ASSERT_EQ(runCommand(toolsDir() + "/megagen --shape mixed --modules 4 "
+                           "--procs 8 --insts 200000 --seed 3 -o " + Dir,
+                       Out),
+            0)
+      << Out;
+  std::string Objs;
+  for (int M = 0; M < 4; ++M)
+    Objs += " " + Dir + "/mg000" + std::to_string(M) + ".aaxo";
+  for (const char *Flags :
+       {"-O none", "-O none --verify-each-stage", "-O full --sched",
+        "-O full --sched --verify-each-stage"}) {
+    ASSERT_EQ(runCommand(toolsDir() + "/omlink -j 1 " + Flags +
+                             " --stats-json " + Dir + "/s.json -o " + Dir +
+                             "/mg.aaxe" + Objs,
+                         Out),
+              0)
+        << Flags << ": " << Out;
+    std::vector<char> Bytes = readFile(Dir + "/s.json");
+    std::string Json(Bytes.begin(), Bytes.end());
+    auto seconds = [&](const std::string &Key) {
+      size_t At = Json.find("\"" + Key + "\": ");
+      EXPECT_NE(At, std::string::npos) << Key << " missing:\n" << Json;
+      return At == std::string::npos
+                 ? 0.0
+                 : std::stod(Json.substr(At + Key.size() + 4));
+    };
+    double Sum = 0;
+    for (const char *Bucket : {"lift", "call_transforms", "address_loads",
+                               "code_motion", "assemble", "verify"})
+      Sum += seconds(Bucket);
+    double Total = seconds("total");
+    EXPECT_NEAR(Sum, Total, std::max(0.01 * Total, 0.0005))
+        << Flags << ":\n" << Json;
   }
 }
 

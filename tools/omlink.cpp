@@ -39,10 +39,12 @@
 ///   --stats           print OM's Figure 3-5 statistics for this link,
 ///                     plus per-stage wall times and the worker count
 ///   --stats-json FILE write the same statistics as JSON ("-" = stdout)
-///   --verify          OmVerify: check structural invariants after the lift
-///                     and the call transforms, then differentially execute
-///                     the program at every OM level and compare results
-///   --verify-each-stage   also check between every emission stage
+///   --verify          OmVerify: check structural invariants after the
+///                     lift, the call transforms and assembly, then
+///                     differentially execute the program at every OM level
+///                     and compare results
+///   --verify-each-stage   also check after every stage that changes
+///                     the symbolic form
 ///
 //===----------------------------------------------------------------------===//
 
