@@ -43,7 +43,7 @@ public:
 private:
   Error resolveSymbols();
   Error mergeGats();
-  void layout();
+  Error layout();
   Error resolveRef(size_t ObjIdx, uint32_t SymIdx, DefSite &Out) const;
   uint64_t symbolAddress(const DefSite &Site) const;
   Error applyRelocations(Image &Img);
@@ -165,7 +165,7 @@ Error LinkContext::mergeGats() {
   return Error::success();
 }
 
-void LinkContext::layout() {
+Error LinkContext::layout() {
   // Text: objects in command-line order, 16-byte aligned.
   TextBaseOf.resize(Objects.size());
   uint64_t Cur = 0;
@@ -178,7 +178,8 @@ void LinkContext::layout() {
 
   // Data region: the merged GAT groups first, then each object's data in
   // module order (the traditional linker does not sort by size; that is
-  // OM's improvement), then bss.
+  // OM's improvement), then bss. Objects' sizes grow one extent through
+  // growDataExtent, so a hostile .bss size is refused, never wrapped.
   uint64_t DataCur = 0;
   GroupBase.resize(GroupSlots.size());
   GpValue.resize(GroupSlots.size());
@@ -191,18 +192,22 @@ void LinkContext::layout() {
   DataOffsetOf.resize(Objects.size());
   for (size_t ObjIdx = 0; ObjIdx < Objects.size(); ++ObjIdx) {
     DataOffsetOf[ObjIdx] = DataCur;
-    DataCur += (Objects[ObjIdx].Data.size() + 7) & ~7ull;
+    const ObjectFile &O = Objects[ObjIdx];
+    if (Error E = growDataExtent(DataCur, O.Data.size(), O.ModuleName))
+      return E;
   }
   TotalData = DataCur;
 
   BssBase = Layout::DataBase + TotalData;
-  uint64_t BssCur = 0;
   BssOffsetOf.resize(Objects.size());
   for (size_t ObjIdx = 0; ObjIdx < Objects.size(); ++ObjIdx) {
-    BssOffsetOf[ObjIdx] = BssCur;
-    BssCur += (Objects[ObjIdx].BssSize + 7) & ~7ull;
+    BssOffsetOf[ObjIdx] = DataCur - TotalData;
+    const ObjectFile &O = Objects[ObjIdx];
+    if (Error E = growDataExtent(DataCur, O.BssSize, O.ModuleName))
+      return E;
   }
-  TotalBss = BssCur;
+  TotalBss = DataCur - TotalData;
+  return Error::success();
 }
 
 uint64_t LinkContext::symbolAddress(const DefSite &Site) const {
@@ -288,7 +293,8 @@ Result<Image> LinkContext::run() {
     return Result<Image>::failure(Err.message());
   if (Error Err = mergeGats())
     return Result<Image>::failure(Err.message());
-  layout();
+  if (Error Err = layout())
+    return Result<Image>::failure(Err.message());
 
   Image Img;
   Img.TextBase = Layout::TextBase;

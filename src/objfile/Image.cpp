@@ -15,6 +15,18 @@
 using namespace om64;
 using namespace om64::obj;
 
+Error obj::growDataExtent(uint64_t &Extent, uint64_t Size,
+                          const std::string &What) {
+  const uint64_t Room =
+      Extent > Layout::MaxDataBytes ? 0 : Layout::MaxDataBytes - Extent;
+  if (Size > Room || ((Size + 7) & ~7ull) > Room) // Size + 7 cannot wrap
+    return Error::failure(formatString(
+        "%s: data and bss exceed the %llu-byte data segment limit",
+        What.c_str(), static_cast<unsigned long long>(Layout::MaxDataBytes)));
+  Extent += (Size + 7) & ~7ull;
+  return Error::success();
+}
+
 static constexpr uint32_t ImageMagic = 0x45584141; // "AAXE"
 static constexpr uint32_t ImageVersion = 1;
 

@@ -31,10 +31,19 @@ struct Layout {
   static constexpr uint64_t DataBase = 0x0000000140000000ull;
   static constexpr uint64_t StackTop = 0x0000000160000000ull;
   static constexpr uint64_t StackSize = 1ull << 20;
+  /// The data segment's limit (GATs, data and bss): the gap between the
+  /// data base and the bottom of the stack.
+  static constexpr uint64_t MaxDataBytes = StackTop - StackSize - DataBase;
   /// A return to this address terminates execution (the simulator places it
   /// in RA before transferring to the entry procedure).
   static constexpr uint64_t HaltReturnAddress = 0x00000001FFFFFFF0ull;
 };
+
+/// Adds \p Size, rounded up to 8 bytes, to the data-segment extent
+/// \p Extent (bytes past Layout::DataBase). Both linkers lay data out
+/// through it: a sum past Layout::MaxDataBytes fails, naming \p What, and
+/// leaves \p Extent alone. It never wraps, whatever the size.
+Error growDataExtent(uint64_t &Extent, uint64_t Size, const std::string &What);
 
 /// A symbol surviving into the executable (for disassembly and statistics).
 struct ImageSymbol {

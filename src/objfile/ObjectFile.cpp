@@ -271,6 +271,10 @@ Error ObjectFile::verify() const {
         (S.Offset > Data.size() || S.Size > Data.size() - S.Offset))
       return Error::failure(ModuleName + ": data symbol " + S.Name +
                             " extends past .data");
+    if (!S.IsProcedure && S.Section == SectionKind::Bss &&
+        (S.Offset > BssSize || S.Size > BssSize - S.Offset))
+      return Error::failure(ModuleName + ": bss symbol " + S.Name +
+                            " extends past .bss");
   }
 
   // The lift maps literal ids per procedure: a lituse's literal is there.

@@ -5,51 +5,40 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// OmAnalysis: the dataflow layer under OM's transforms, lint mode, and
-/// deletion-proof verification.
+/// OmAnalysis: the dataflow layer under OM's transforms, the rescheduler,
+/// and deletion-proof verification.
 ///
 /// The paper's OM-full justifies its deletions by understanding the
 /// recovered control structure; the pattern transforms in Transforms.cpp
 /// approximate that understanding syntactically ("this looks like a GP
 /// reset after a call"). This file provides the real thing:
 ///
-///   * a per-procedure CFG over SymbolicProgram with dominator trees,
+///   * a per-procedure CFG over SymbolicProgram with reachability and
+///     reverse postorder,
 ///   * a forward abstract interpretation tracking register contents as
 ///     symbolic values (GpOfGroup(g), EntryOf(proc), AddrOf(sym), Stack,
 ///     Uninit, Unknown; meet at joins) with a dedicated may-set domain for
 ///     GP so pass-through callees keep caller facts precise,
-///   * backward register liveness over the 64 register units,
 ///   * an interprocedural fixpoint over per-procedure entry/exit GP
 ///     summaries, seeded from the loader contract (the simulator enters
 ///     the entry procedure with PV = entry address and GP = its group's
 ///     GP value),
-///   * an interprocedural memory abstract domain layered on the same
-///     fixpoint: byte-interval stack-frame tracking (MemVal::SpRel), GAT
-///     slot provenance (MemVal::GatAddr), and callee-saved preservation
-///     proofs composed bottom-up through ProcSummary::PreservedSaved,
-///   * a binary lint (`omlink --lint`, tools/aaxlint) reporting convention
-///     violations as L001..L010 diagnostics with witness paths, with a
-///     built-in corpus of broken modules that seed exactly one finding
-///     each, plus JSON and SARIF 2.1.0 renderers.
+///   * backward register liveness over the 64 register units, computed on
+///     demand (analyzeLiveness) for the consumers that read it.
+///
+/// OM deletes GP and PV code from register values alone, so there is one
+/// kind of analysis: CFGs, block-entry values and value summaries. The
+/// memory domain (stack frames, GAT provenance, callee-saved preservation)
+/// serves only the lint's L006..L010 and lives in Lint.cpp, layered over
+/// the same converged values (om/Lint.h).
 ///
 /// Everything here is a pure function of the SymbolicProgram: per-procedure
 /// passes fan out on the ThreadPool into per-index slots and are reduced in
 /// procedure order, so results are identical for any pool size. OmContext
 /// (OmImpl.h) caches one ProgramAnalysis per mutation epoch; transforms
-/// invalidate it by stage, and each recompute reuses the link's memo.
-///
-/// An analysis is requested Full or ValuesOnly (AnalysisRequest). The lint,
-/// the deletion passes and the deletion-proof verifier run Full: values,
-/// the memory domain (PreservedSaved) and liveness. The rescheduler needs
-/// only memBaseRegions, which reads block-entry values, and the value
-/// transfer never reads a memory state or PreservedSaved, so it runs
-/// ValuesOnly: the same values and value-side summaries, with no memory
-/// domain and no liveness.
-///
-/// The per-procedure fixpoint allocates nothing per block: block-entry
-/// states meet in place, each worker reuses one scratch (walking states,
-/// memory entry states, and every block's frame slots in one flat vector)
-/// across rounds, and each procedure's Cfg is built once per content key
+/// invalidate it by stage, and each recompute reuses the link's memo. The
+/// per-procedure fixpoint allocates nothing per block: block-entry states
+/// meet in place, and each procedure's Cfg is built once per content key
 /// and kept in the SummaryCache next to its rounds.
 ///
 //===----------------------------------------------------------------------===//
@@ -65,7 +54,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -170,59 +158,6 @@ enum class GpProof : uint8_t {
 };
 
 //===----------------------------------------------------------------------===//
-// Memory abstract domain
-//===----------------------------------------------------------------------===//
-
-/// The memory-side abstract value of a register: where it points (or what
-/// it holds) relative to the procedure's entry state. This is the domain
-/// under lint codes L006..L010 — byte-precise stack-frame tracking, GAT
-/// slot provenance, and callee-saved preservation proofs. Unknown is top;
-/// the meet of disagreeing values is Unknown.
-struct MemVal {
-  enum class K : uint8_t {
-    Unknown,
-    SpRel,   // entry-SP + Off (the frame pointer family)
-    SavedOf, // still holds the entry value of register unit Id
-    GatAddr, // &Syms[Id] + Off, proven through a GAT load
-  };
-  int64_t Off = 0; // SpRel / GatAddr byte offset
-  uint32_t Id = 0; // SavedOf: register unit; GatAddr: symbol id
-  K Kind = K::Unknown; // last: 16 bytes in all
-
-  static MemVal unknown() { return {}; }
-  static MemVal spRel(int64_t O) { return {O, 0, K::SpRel}; }
-  static MemVal savedOf(unsigned U) { return {0, U, K::SavedOf}; }
-  static MemVal gatAddr(uint32_t Sym, int64_t O) {
-    return {O, Sym, K::GatAddr};
-  }
-
-  bool operator==(const MemVal &O) const = default;
-
-  static MemVal meet(const MemVal &A, const MemVal &B) {
-    return A == B ? A : unknown();
-  }
-};
-
-/// Memory abstract state at a program point: one MemVal per register unit
-/// plus the tracked frame slots. Slots are keyed by entry-SP-relative byte
-/// offset and record full-width (8-byte) stores through a provably
-/// SP-relative base; any overlapping store invalidates them, and joins
-/// keep only slots both paths agree on. Unreachable mirrors
-/// ValueState::Unreachable exactly (the two states advance in lockstep).
-struct MemState {
-  std::array<MemVal, 64> R;
-  std::vector<std::pair<int64_t, MemVal>> Slots; // sorted by offset
-  bool Unreachable = true;
-
-  /// Returns the tracked value at \p Off, or null.
-  const MemVal *slot(int64_t Off) const;
-  /// Sets (or inserts) the slot at \p Off, keeping the vector sorted.
-  void setSlot(int64_t Off, const MemVal &V);
-  /// Drops every tracked slot overlapping [Off, Off + Size).
-  void invalidateSlots(int64_t Off, int64_t Size);
-};
-
-//===----------------------------------------------------------------------===//
 // Control-flow graph
 //===----------------------------------------------------------------------===//
 
@@ -242,9 +177,10 @@ struct CfgBlock {
   bool FallsOff = false;
 };
 
-/// Per-procedure CFG with reachability and reverse postorder. Nullified instructions are treated as no-ops (they fall
-/// through), calls end their block with a fall-through edge, and Ret /
-/// Halt / computed jumps end their block with no successors.
+/// Per-procedure CFG with reachability and reverse postorder. Nullified
+/// instructions are treated as no-ops (they fall through), calls end their
+/// block with a fall-through edge, and Ret / Halt / computed jumps end
+/// their block with no successors.
 struct Cfg {
   std::vector<CfgBlock> Blocks;   // in instruction order
   std::vector<uint32_t> BlockOf;  // instruction index -> block index
@@ -272,20 +208,6 @@ struct Cfg {
 /// different procedures.
 Cfg buildCfg(const SymProc &Proc);
 
-/// Immediate dominators of a CFG's blocks.
-struct Dominators {
-  std::vector<uint32_t> Idom; // per block; ~0u for entry/unreachable
-
-  /// True when block \p A dominates block \p B (reflexive). Unreachable
-  /// blocks are dominated by nothing and dominate nothing.
-  bool dominates(uint32_t A, uint32_t B) const;
-};
-
-/// Computes \p C's dominators with the Cooper-Harvey-Kennedy iteration
-/// over reverse postorder. No OM stage reads dominators, so buildCfg does
-/// not compute them; a caller that needs them asks here.
-Dominators computeDominators(const Cfg &C);
-
 //===----------------------------------------------------------------------===//
 // Per-procedure dataflow results
 //===----------------------------------------------------------------------===//
@@ -308,13 +230,6 @@ struct ValueState {
 struct ProcValues {
   std::vector<ValueState> In;
 };
-
-/// What an analyzeProgram call computes. Full: everything ProgramAnalysis
-/// holds. ValuesOnly: CFGs, block-entry values and every value-side field
-/// (summaries, indirect summary, reach sets) exactly as Full computes them,
-/// but no memory domain (every PreservedSaved stays ~0) and no liveness
-/// (Live is empty) — what memBaseRegions reads, and nothing more.
-enum class AnalysisRequest : uint8_t { Full, ValuesOnly };
 
 /// Backward liveness result: live register units (bit = unit) at block
 /// entry and exit.
@@ -343,14 +258,6 @@ struct ProcSummary {
   /// Entering at instruction 0 executes a live prologue GP-set pair,
   /// whose LDAH reads PV.
   bool ReadsPvAtEntry = false;
-  /// Bit per register unit: the unit provably holds its entry value again
-  /// at every reachable RET (only callee-saved units are ever examined;
-  /// ValuesOnly analyses leave every bit set).
-  /// Composed bottom-up: a call keeps a callee-saved register's fact only
-  /// when the callee's bit is set. Computed-jump exits and invisible
-  /// callees are assumed convention-abiding (bits stay set), so a cleared
-  /// bit is always a positive proof of clobbering — the basis of L007.
-  uint64_t PreservedSaved = ~0ull;
 };
 
 namespace detail {
@@ -377,47 +284,6 @@ struct ProcRound {
 // Whole-program analysis
 //===----------------------------------------------------------------------===//
 
-/// Everything OmAnalysis knows about one SymbolicProgram. All vectors are
-/// indexed by procedure. Cfgs, Values and Live alias (never copy) the
-/// tables of SummaryCache entries, keeping them alive if the cache drops
-/// the entry.
-struct ProgramAnalysis {
-  AnalysisRequest Request = AnalysisRequest::Full;
-  std::vector<std::shared_ptr<const Cfg>> Cfgs;
-  std::vector<std::shared_ptr<const ProcValues>> Values;
-  /// Empty for a ValuesOnly analysis.
-  std::vector<std::shared_ptr<const ProcLiveness>> Live;
-  std::vector<ProcSummary> Summaries;
-  /// Combined summary applied at indirect call sites: the union of every
-  /// address-taken procedure's ExitGp/ClobbersPv (conservatively Unknown
-  /// when the program has computed jumps or calls through data literals).
-  GpVal IndirectExitGp;
-  bool IndirectClobbersPv = true;
-  bool IndirectReturns = true;
-  bool IndirectReadsPv = true;
-  /// Groups the dataflow proves each procedure's call subtree may leave in
-  /// GP at return (same ~0 saturation as computeReachableGroups); the
-  /// verify stage asserts this is a subset of the pattern's reach set.
-  std::vector<uint64_t> ReachableGroups;
-
-  /// Abstract register state immediately before Procs[ProcIdx].Insts[InstIdx]
-  /// (all-Bottom when the instruction's block is unreachable). Walks the
-  /// block from its stored entry state.
-  ValueState valuesBefore(const SymbolicProgram &SP, uint32_t ProcIdx,
-                          uint32_t InstIdx) const;
-
-  /// Live register units immediately after Insts[InstIdx] (i.e. the set a
-  /// deletion of InstIdx must not be observed by). Walks the block
-  /// backward from its stored exit liveness. Full analyses only.
-  uint64_t liveAfter(const SymbolicProgram &SP, uint32_t ProcIdx,
-                     uint32_t InstIdx) const;
-
-  /// Whether GP provably holds group \p Group's value on every path into
-  /// Insts[InstIdx].
-  GpProof gpBefore(const SymbolicProgram &SP, uint32_t ProcIdx,
-                   uint32_t InstIdx, uint32_t Group) const;
-};
-
 /// Memo of per-procedure analysis results behind every analyzeProgram
 /// call: one per om::optimize() link, one per output image across
 /// om::IncrementalLinker relinks, or a call-local one. Keys are content
@@ -426,12 +292,13 @@ struct ProgramAnalysis {
 /// round (Inputs — callee summaries plus the combined indirect summary).
 /// A hit is therefore exactly a round the fixpoint would recompute
 /// bit-identically, so no result depends on the cache's history, and a
-/// round whose inputs did not move is never re-evaluated. Full and
-/// ValuesOnly rounds never share an entry: the request is part of every
-/// round's Inputs (their PreservedSaved differs). Mid-fixpoint rounds are
-/// stored stripped (no value table); the converged round per procedure is
-/// upgraded to carry block-entry values. Cfgs are kept by procedure
-/// content key alone. Not thread-safe: one analysis at a time per cache.
+/// round whose inputs did not move is never re-evaluated. Every run is the
+/// same kind, so Pass A, Pass B and the rescheduler share rounds.
+/// Mid-fixpoint rounds are stored stripped (no value table); the converged
+/// round per procedure is upgraded to carry block-entry values. Cfgs are
+/// kept by procedure content key alone; liveness, when asked for, by
+/// ProgramAnalysis::LiveKeys. Not thread-safe: one analysis at a time per
+/// cache.
 class SummaryCache {
 public:
   struct Key {
@@ -464,7 +331,6 @@ public:
   /// Work summed over every analyzeProgram call on this cache.
   struct Counters {
     uint64_t Runs = 0;            // analyzeProgram calls
-    uint64_t ValueRuns = 0;       // of which ValuesOnly
     uint64_t RoundsEvaluated = 0; // per-procedure rounds computed
     uint64_t RoundsReused = 0;    // fixpoint-round lookups served
   };
@@ -475,7 +341,7 @@ public:
   void trim(size_t MaxBytes);
   size_t estimatedBytes() const { return Bytes; }
 
-  // State below is written only by analyzeProgram.
+  // State below is written only by analyzeProgram and analyzeLiveness.
   std::unordered_map<Key, std::shared_ptr<RoundEntry>, KeyHasher> Rounds;
   std::unordered_map<Key, std::shared_ptr<LiveEntry>, KeyHasher> Liveness;
   std::unordered_map<uint64_t, std::shared_ptr<CfgEntry>> Cfgs; // by Key::Proc
@@ -483,28 +349,80 @@ public:
   size_t Bytes = 0;
 };
 
-/// Analyzes the whole program: CFGs and dominators per procedure, the
-/// interprocedural GP fixpoint, per-procedure value states and (Full
-/// requests) the memory domain's summaries and liveness. Deterministic for
+/// Everything OmAnalysis knows about one SymbolicProgram. All vectors are
+/// indexed by procedure. Cfgs and Values alias (never copy) the tables of
+/// SummaryCache entries, keeping them alive if the cache drops the entry.
+struct ProgramAnalysis {
+  std::vector<std::shared_ptr<const Cfg>> Cfgs;
+  std::vector<std::shared_ptr<const ProcValues>> Values;
+  std::vector<ProcSummary> Summaries;
+  /// Combined summary applied at indirect call sites: the union of every
+  /// address-taken procedure's ExitGp/ClobbersPv (conservatively Unknown
+  /// when the program has computed jumps or calls through data literals).
+  GpVal IndirectExitGp;
+  bool IndirectClobbersPv = true;
+  bool IndirectReturns = true;
+  bool IndirectReadsPv = true;
+  /// Groups the dataflow proves each procedure's call subtree may leave in
+  /// GP at return (same ~0 saturation as computeReachableGroups); the
+  /// verify stage asserts this is a subset of the pattern's reach set.
+  std::vector<uint64_t> ReachableGroups;
+  /// The key each procedure's liveness is memoized under in the
+  /// SummaryCache: its content hash and every summary its backward
+  /// transfers read (analyzeLiveness).
+  std::vector<SummaryCache::Key> LiveKeys;
+
+  /// Abstract register state immediately before Procs[ProcIdx].Insts[InstIdx]
+  /// (all-Bottom when the instruction's block is unreachable). Walks the
+  /// block from its stored entry state.
+  ValueState valuesBefore(const SymbolicProgram &SP, uint32_t ProcIdx,
+                          uint32_t InstIdx) const;
+
+  /// Whether GP provably holds group \p Group's value on every path into
+  /// Insts[InstIdx].
+  GpProof gpBefore(const SymbolicProgram &SP, uint32_t ProcIdx,
+                   uint32_t InstIdx, uint32_t Group) const;
+};
+
+/// Backward liveness of every procedure of one analyzed program: what
+/// deletion Pass B and the deletion-proof verifier read. Procs alias the
+/// SummaryCache's tables.
+struct ProgramLiveness {
+  std::vector<std::shared_ptr<const ProcLiveness>> Procs;
+
+  /// Live register units immediately after Insts[InstIdx] of procedure
+  /// \p ProcIdx (i.e. the set a deletion of InstIdx must not be observed
+  /// by). Walks the block backward from its stored exit liveness; \p PA is
+  /// the analysis this liveness was computed from.
+  uint64_t liveAfter(const SymbolicProgram &SP, const ProgramAnalysis &PA,
+                     uint32_t ProcIdx, uint32_t InstIdx) const;
+};
+
+/// Analyzes the whole program: CFGs per procedure, the interprocedural GP
+/// fixpoint, and per-procedure block-entry value states. Deterministic for
 /// any pool size (per-index slots, procedure-order reductions,
-/// order-insensitive meets). Cfgs, per-procedure rounds and liveness go
-/// through \p Cache by content key; the result is the same for any cache
-/// contents (keys cover every input the computations read).
+/// order-insensitive meets). Cfgs and per-procedure rounds go through
+/// \p Cache by content key; the result is the same for any cache contents
+/// (keys cover every input the computations read).
 ProgramAnalysis analyzeProgram(const SymbolicProgram &SP, ThreadPool &Pool,
-                               SummaryCache &Cache,
-                               AnalysisRequest Req = AnalysisRequest::Full);
+                               SummaryCache &Cache);
 
 /// analyzeProgram with a fresh call-local cache, sharing no entry with any
-/// link: verifyDeletionProofs, verifyMemBaseRegions and the report-only
-/// lint re-derive with it.
-ProgramAnalysis analyzeProgram(const SymbolicProgram &SP, ThreadPool &Pool,
-                               AnalysisRequest Req = AnalysisRequest::Full);
+/// link.
+ProgramAnalysis analyzeProgram(const SymbolicProgram &SP, ThreadPool &Pool);
+
+/// Backward liveness of every procedure of \p SP against \p PA's converged
+/// summaries, memoized in \p Cache's Liveness by PA.LiveKeys: a procedure
+/// whose key is cached is not recomputed. Deterministic for any pool size.
+ProgramLiveness analyzeLiveness(const SymbolicProgram &SP,
+                                const ProgramAnalysis &PA, ThreadPool &Pool,
+                                SummaryCache &Cache);
 
 /// Classifies every instruction's memory base register for the
 /// rescheduler's alias disambiguation: Global (a text/data-segment
 /// pointer: GP, a GAT-loaded address, or arithmetic on one), Stack
 /// (SP-derived) or Unknown. Non-memory instructions get Unknown. Pure per
-/// procedure; reads only values, so a ValuesOnly \p PA suffices.
+/// procedure.
 std::vector<sched::MemRegion> memBaseRegions(const SymbolicProgram &SP,
                                              const ProgramAnalysis &PA,
                                              uint32_t ProcIdx);
@@ -512,97 +430,13 @@ std::vector<sched::MemRegion> memBaseRegions(const SymbolicProgram &SP,
 namespace detail {
 
 /// Re-runs procedure \p ProcIdx's fixpoint round against \p PA's
-/// converged summaries into \p Out, on the calling thread's reused
-/// scratch: the routine every analyzeProgram round runs. Once the scratch
-/// and \p Out have grown to the procedure, a repeat allocates nothing
-/// (pinned by analysis_alloc_test).
+/// converged summaries into \p Out: the routine every analyzeProgram round
+/// runs. Once \p Out has grown to the procedure, a repeat allocates
+/// nothing (pinned by analysis_alloc_test).
 void evaluateRound(const SymbolicProgram &SP, const ProgramAnalysis &PA,
-                   uint32_t ProcIdx, AnalysisRequest Req, ProcRound &Out);
+                   uint32_t ProcIdx, ProcRound &Out);
 
 } // namespace detail
-
-//===----------------------------------------------------------------------===//
-// Lint
-//===----------------------------------------------------------------------===//
-
-/// One step of a finding's witness path: an instruction on the shortest
-/// abstract-interpretation trace from the procedure entry to the defect,
-/// with a note saying what fact it establishes.
-struct LintWitnessStep {
-  uint32_t InstIdx = 0;
-  std::string Note;
-};
-
-/// One lint finding, with enough structure for every renderer (text,
-/// --explain, --json, --sarif): the code, the procedure (index and name),
-/// the defect instruction, the formatted message, and the witness path
-/// (never empty — at minimum the entry and the defect site).
-struct LintFinding {
-  std::string Code; // "L001".."L010"
-  uint32_t ProcIdx = 0;
-  std::string Proc;
-  uint32_t InstIdx = 0;
-  std::string Message;
-  std::vector<LintWitnessStep> Witness;
-};
-
-/// Runs the binary lint over an analyzed program. Pure per procedure: the
-/// per-procedure passes fan out on the ThreadPool into per-index slots and
-/// are reduced in procedure order, with each procedure's findings sorted
-/// by (instruction, code), so the result is byte-identical for any pool
-/// size. Codes (see docs/LINT.md):
-///
-///   L001  read of a provably-uninitialized register
-///   L002  GAT address load reachable with a wrong or unknown GP
-///   L003  unreachable basic block containing real code (a store, call,
-///         or control flow; dead register-only guards and padding that
-///         compilers legitimately emit are not reported)
-///   L004  control falls through the end of a procedure
-///   L005  call-convention violation (call linking through a register
-///         other than RA, return through a register other than RA, or a
-///         GAT call through a data symbol)
-///   L006  stack access provably outside the frame bounds
-///   L007  callee-saved register not preserved at a return
-///   L008  saved-return-address slot overwritten after the save
-///   L009  GAT-proven data access outside the symbol's bounds or
-///         misaligned for its width
-///   L010  stack address stored to a global/GAT location (escapes the
-///         frame's lifetime)
-std::vector<LintFinding> lintProgram(const SymbolicProgram &SP,
-                                     const ProgramAnalysis &PA,
-                                     ThreadPool &Pool);
-
-/// Renders findings in the classic diagnostic format, one line per
-/// finding: "lint:<proc>:<inst+1>:0: warning: <message>". With \p Explain,
-/// each finding is followed by its witness path, one "  #<n> +<off>:
-/// <note>" line per step.
-std::string renderLintText(const std::vector<LintFinding> &Findings,
-                           bool Explain);
-
-/// Renders findings as a stable machine-readable JSON document:
-/// {"findings":[{"code","proc","offset","message"},...]} where offset is
-/// the defect instruction's byte offset within the procedure.
-std::string renderLintJson(const std::vector<LintFinding> &Findings);
-
-/// Renders findings as a SARIF 2.1.0 document: one run, driver "aaxlint"
-/// with one reportingDescriptor per code L001..L010, one result per
-/// finding (ruleId = code, artifactLocation.uri = procedure name,
-/// region.startLine = 1-based instruction index).
-std::string renderLintSarif(const std::vector<LintFinding> &Findings);
-
-/// One corpus case: a complete, linkable module seeded with exactly one
-/// lint defect (Code "L001".."L010"), or none (Code empty, Name "clean").
-struct LintCase {
-  std::string Code;
-  std::string Name;
-  obj::ObjectFile Obj;
-};
-
-/// The built-in lint corpus: one broken module per L-code plus one clean
-/// module. Shared by the lint tests (exact-diagnostic assertions),
-/// `aaxlint --emit-corpus` (writes each case to <dir>/<Code>_<Name>.aaxo),
-/// and the CI gate self-test driven by tools/check_bench.py.
-std::vector<LintCase> lintCorpus();
 
 } // namespace analysis
 } // namespace om

@@ -102,11 +102,15 @@ DataLayout Emitter::layoutData(bool IncludeAllLiterals) const {
                        return SP.Syms[A].Size < SP.Syms[B].Size;
                      });
 
+  // Symbol sizes come from the objects: growDataExtent bounds their sum.
   uint64_t LastInitEnd = Cur;
   for (uint32_t SymId : Order) {
     PSym &S = const_cast<PSym &>(SP.Syms[SymId]);
     S.Addr = Cur;
-    Cur += (S.Size + 7) & ~7ull;
+    uint64_t Extent = Cur - Layout::DataBase;
+    if ((DL.Overflow = growDataExtent(Extent, S.Size, S.Name)))
+      break;
+    Cur = Layout::DataBase + Extent;
     if (!S.IsBss)
       LastInitEnd = Cur;
   }
@@ -542,6 +546,9 @@ Error Emitter::applyRewrites(const DataLayout &DL) {
 Error Emitter::addressLoads() {
   bool Full = Opts.Level == OmLevel::Full;
   DL = layoutData(/*IncludeAllLiterals=*/!Full);
+  // Later layouts only drop GAT slots, so if this one fits, they do.
+  if (DL.Overflow)
+    return DL.Overflow;
   if (Opts.Level != OmLevel::None) {
     if (Full) {
       // Fixpoint: decisions shrink the GAT, which moves data closer to
@@ -630,14 +637,12 @@ Error Emitter::reschedule() {
   // With the dataflow live, classify every memory base register (GAT/data
   // vs stack) against the post-deletion program; the scheduler then skips
   // ordering edges between proven-disjoint accesses. Without it every
-  // access is Unknown, the historical conservative ordering. Only values
-  // feed the classification, so the analysis skips the memory domain and
-  // liveness. It runs here, after deleteNullified dropped SP.Lits, so a
-  // JSR the relaxation reverted reads as an indirect call; the emitted
-  // images were scheduled against exactly that view.
+  // access is Unknown, the historical conservative ordering. The analysis
+  // runs here, after deleteNullified dropped SP.Lits, so a JSR the
+  // relaxation reverted reads as an indirect call; the emitted images were
+  // scheduled against exactly that view.
   const analysis::ProgramAnalysis *PA =
-      Opts.Analysis ? &Ctx.program(analysis::AnalysisRequest::ValuesOnly)
-                    : nullptr;
+      Opts.Analysis ? &Ctx.program() : nullptr;
 
   // Scheduling is a pure function of each procedure's instructions, so
   // procedures reschedule independently; freed-pair counts reduce in

@@ -177,17 +177,14 @@ const Stage Stages[] = {
     {"delete-nullified", full,
      [](Link &L) { return L.Emit.deleteNullified(); },
      &OmStageSeconds::CodeMotion, true, false},
-    // The region check compares the rescheduler's ValuesOnly analysis (the
-    // epoch-cached one reschedule then reads) with a fresh Full one.
+    // The region check compares the rescheduler's analysis (the
+    // epoch-cached one reschedule then reads) with a fresh one.
     {"reschedule", [](const OmOptions &O) { return full(O) && O.Reschedule; },
      [](Link &L) { return L.Emit.reschedule(); }, &OmStageSeconds::CodeMotion,
      true, false,
      [](Link &L) {
        return L.Opts.Analysis
-                  ? verifyMemBaseRegions(
-                        L.SP,
-                        L.Ctx.program(analysis::AnalysisRequest::ValuesOnly),
-                        L.Pool)
+                  ? verifyMemBaseRegions(L.SP, L.Ctx.program(), L.Pool)
                   : Error::success();
      }},
     {"instrument",
@@ -246,7 +243,6 @@ Result<OmResult> om64::om::runPipeline(const std::vector<obj::ObjectFile> &Objs,
     }
   }
   Stats.AnalysisRuns = SC.Totals.Runs - Before.Runs;
-  Stats.AnalysisValueRuns = SC.Totals.ValueRuns - Before.ValueRuns;
   Stats.AnalysisRoundsEvaluated =
       SC.Totals.RoundsEvaluated - Before.RoundsEvaluated;
   Stats.AnalysisRoundsReused = SC.Totals.RoundsReused - Before.RoundsReused;

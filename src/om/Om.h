@@ -190,10 +190,8 @@ struct OmStats {
   /// vs stack). Nonzero only with Reschedule and Analysis.
   uint64_t SchedMemDepsFreed = 0;
   /// Dataflow work from the link's SummaryCache (not the verifier's own
-  /// cache): analyzeProgram calls, how many of them were ValuesOnly (the
-  /// rescheduler's), rounds computed, rounds reused.
+  /// cache): analyzeProgram calls, rounds computed, rounds reused.
   uint64_t AnalysisRuns = 0;
-  uint64_t AnalysisValueRuns = 0;
   uint64_t AnalysisRoundsEvaluated = 0;
   uint64_t AnalysisRoundsReused = 0;
 

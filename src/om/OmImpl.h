@@ -8,6 +8,7 @@
 #define OM64_OM_OMIMPL_H
 
 #include "om/Analysis.h"
+#include "om/Lint.h"
 #include "om/Om.h"
 #include "om/SymbolicProgram.h"
 #include "support/Result.h"
@@ -22,7 +23,8 @@ namespace om64 {
 namespace om {
 
 /// Shared state of one OM run that the phases thread through: the dataflow
-/// analysis (om/Analysis.h), computed lazily and cached per mutation epoch.
+/// analysis (om/Analysis.h) and its liveness, computed lazily and cached
+/// per mutation epoch.
 /// The stage loop calls invalidate() after every stage that mutates (a
 /// stage that mutates, then reads, calls it in between); the next program()
 /// call recomputes against the mutated program, so no phase can consume
@@ -30,12 +32,11 @@ namespace om {
 /// OmVerify exists for, closed structurally). Through the link's
 /// SummaryCache, a recompute re-derives only what the mutation moved.
 ///
-/// Which run computes what, in an OM-full link with --analysis: the lint
-/// (--lint) and deletion Passes A and B ask for Full analyses (they read
-/// liveness and, through the lint, the memory domain); the rescheduler,
-/// after deleteNullified, asks for ValuesOnly (memBaseRegions reads only
-/// values). A Full analysis cached for the current epoch also serves a
-/// ValuesOnly request.
+/// Every run is one kind: CFGs, block-entry values and value summaries.
+/// In an OM-full link with --analysis, the lint (--lint), deletion Passes
+/// A and B and the rescheduler (after deleteNullified) each ask for the
+/// program's analysis; only Pass B also asks for liveness. The lint layers
+/// its memory domain over the same analysis (om/Lint.h).
 class OmContext {
 public:
   OmContext(SymbolicProgram &SP, ThreadPool &Pool, analysis::SummaryCache &SC)
@@ -44,17 +45,23 @@ public:
   /// Marks every cached analysis stale. Cheap; call after any mutation.
   void invalidate() { ++Epoch; }
 
-  /// The analysis of the current program, recomputing if stale or if the
-  /// cached one computed less than \p Req asks for.
-  const analysis::ProgramAnalysis &
-  program(analysis::AnalysisRequest Req = analysis::AnalysisRequest::Full) {
-    if (!Cached || CachedEpoch != Epoch ||
-        (Req == analysis::AnalysisRequest::Full &&
-         Cached->Request != analysis::AnalysisRequest::Full)) {
-      Cached.emplace(analysis::analyzeProgram(SP, Pool, SC, Req));
+  /// The analysis of the current program, recomputing if stale.
+  const analysis::ProgramAnalysis &program() {
+    if (!Cached || CachedEpoch != Epoch) {
+      Cached.emplace(analysis::analyzeProgram(SP, Pool, SC));
       CachedEpoch = Epoch;
+      Live.reset();
     }
     return *Cached;
+  }
+
+  /// Liveness of the current program against program(), computed on the
+  /// first ask per epoch through the link's cache.
+  const analysis::ProgramLiveness &liveness() {
+    const analysis::ProgramAnalysis &PA = program();
+    if (!Live)
+      Live.emplace(analysis::analyzeLiveness(SP, PA, Pool, SC));
+    return *Live;
   }
 
   ThreadPool &pool() { return Pool; }
@@ -68,6 +75,7 @@ private:
   uint64_t Epoch = 0;
   uint64_t CachedEpoch = ~0ull;
   std::optional<analysis::ProgramAnalysis> Cached;
+  std::optional<analysis::ProgramLiveness> Live;
 };
 
 /// One procedure's literal table as the lift builds it: local literal ids
@@ -205,6 +213,9 @@ struct DataLayout {
   uint64_t DataBytes = 0; // initialized-data extent past the GATs
   uint64_t BssBytes = 0;
   uint64_t GatBytes = 0;
+  /// Set when a data symbol would grow the segment past
+  /// Layout::MaxDataBytes (the layout stops there).
+  Error Overflow;
 };
 
 /// The layout-dependent half of OM (Emit.cpp). Each public member is one

@@ -358,6 +358,7 @@ void runAnalysisDeletions(SymbolicProgram &SP, OmStats &Stats,
   std::vector<uint64_t> DeadCount(NumProcs, 0);
   {
     const analysis::ProgramAnalysis &PA = Ctx.program();
+    const analysis::ProgramLiveness &Live = Ctx.liveness();
     Pool.parallelFor(NumProcs, [&](size_t ProcIdx) {
       SymProc &Proc = SP.Procs[ProcIdx];
       for (size_t Idx = 0; Idx < Proc.Insts.size(); ++Idx) {
@@ -367,8 +368,9 @@ void runAnalysisDeletions(SymbolicProgram &SP, OmStats &Stats,
         const LitInfo *L = SP.lit(SI.LitId);
         if (!L || !L->escapes())
           continue; // a recorded use reads the register; liveness agrees
-        uint64_t LiveOut = PA.liveAfter(SP, static_cast<uint32_t>(ProcIdx),
-                                        static_cast<uint32_t>(Idx));
+        uint64_t LiveOut = Live.liveAfter(SP, PA,
+                                          static_cast<uint32_t>(ProcIdx),
+                                          static_cast<uint32_t>(Idx));
         if ((LiveOut >> intUnit(SI.I.Ra)) & 1)
           continue;
         SI.Nullified = SI.AnalysisNullified = true;

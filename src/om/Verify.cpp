@@ -359,7 +359,8 @@ namespace {
 /// removes a provable no-op or a dead write, so the facts that justified it
 /// survive the deletion itself.
 void checkProcProofs(const SymbolicProgram &SP,
-                     const analysis::ProgramAnalysis &PA, uint32_t ProcIdx,
+                     const analysis::ProgramAnalysis &PA,
+                     const analysis::ProgramLiveness &Live, uint32_t ProcIdx,
                      DiagnosticEngine &Diags) {
   const SymProc &Proc = SP.Procs[ProcIdx];
   auto bad = [&](uint32_t InstIdx, std::string Message) {
@@ -396,7 +397,7 @@ void checkProcProofs(const SymbolicProgram &SP,
       if (S.Unreachable)
         break; // no execution reaches the load; no value proof needed
       unsigned Dest = isa::intUnit(SI.I.Ra);
-      if (!(PA.liveAfter(SP, ProcIdx, Idx) & (1ull << Dest)))
+      if (!(Live.liveAfter(SP, PA, ProcIdx, Idx) & (1ull << Dest)))
         break; // destination dead: the load was unobservable
       // Remaining justification: the equal-value proof — the register
       // already held the loaded address, so the load was a no-op.
@@ -421,12 +422,15 @@ void checkProcProofs(const SymbolicProgram &SP,
 
 Error om64::om::verifyDeletionProofs(const SymbolicProgram &SP,
                                      ThreadPool &Pool) {
-  analysis::ProgramAnalysis PA = analysis::analyzeProgram(SP, Pool);
+  analysis::SummaryCache Local;
+  analysis::ProgramAnalysis PA = analysis::analyzeProgram(SP, Pool, Local);
+  analysis::ProgramLiveness Live =
+      analysis::analyzeLiveness(SP, PA, Pool, Local);
 
   DiagnosticEngine Diags;
   std::vector<DiagnosticEngine> PerProc(SP.Procs.size());
   Pool.parallelFor(SP.Procs.size(), [&](size_t ProcIdx) {
-    checkProcProofs(SP, PA, static_cast<uint32_t>(ProcIdx),
+    checkProcProofs(SP, PA, Live, static_cast<uint32_t>(ProcIdx),
                     PerProc[ProcIdx]);
   });
   for (DiagnosticEngine &E : PerProc)

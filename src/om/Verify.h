@@ -88,8 +88,8 @@ Error verifyStage(const SymbolicProgram &SP, const std::string &Stage,
 Error verifyDeletionProofs(const SymbolicProgram &SP, ThreadPool &Pool);
 
 /// Checks the rescheduler's memory base regions: memBaseRegions over
-/// \p PA (the rescheduler's ValuesOnly analysis of \p SP) must equal
-/// memBaseRegions over a fresh Full analysis with its own call-local cache,
+/// \p PA (the rescheduler's analysis of \p SP) must equal memBaseRegions
+/// over a fresh analysis with its own call-local cache,
 /// on every instruction. A mismatch fails with one diagnostic per
 /// instruction, naming the procedure ("sched-regions:<proc>") and the
 /// 1-based instruction index. Runs before rescheduling under

@@ -1372,8 +1372,7 @@ static Error checkLayout(const Image &Img) {
   if (Img.TextBase % 4 != 0)
     return Error::failure(formatString("text base %s is not 4-byte aligned",
                                        formatHex64(Img.TextBase).c_str()));
-  const uint64_t MaxData =
-      Layout::StackTop - Layout::StackSize - Layout::DataBase;
+  const uint64_t MaxData = Layout::MaxDataBytes;
   if (Img.BssSize > MaxData || Img.Data.size() > MaxData - Img.BssSize)
     return Error::failure(formatString(
         "data segment of %llu + %llu bss bytes exceeds the %llu-byte limit",

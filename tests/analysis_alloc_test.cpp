@@ -85,25 +85,19 @@ TEST(AnalysisAllocTest, RepeatedRoundAllocatesNothing) {
       Largest = P;
   ASSERT_GT(PA.Cfgs[Largest]->Blocks.size(), 8u);
 
-  for (AnalysisRequest Req :
-       {AnalysisRequest::Full, AnalysisRequest::ValuesOnly}) {
-    detail::ProcRound Out;
-    detail::evaluateRound(*SP, PA, Largest, Req, Out);
-    const ProcSummary First = Out.Summary;
-    const uint64_t Before = NumAllocations.load();
-    detail::evaluateRound(*SP, PA, Largest, Req, Out);
-    const uint64_t Made = NumAllocations.load() - Before;
-    EXPECT_EQ(Made, 0u)
-        << (Req == AnalysisRequest::Full ? "Full" : "ValuesOnly")
-        << ": a repeated round allocated";
-    EXPECT_EQ(Out.Summary.ExitGp, First.ExitGp);
-    EXPECT_EQ(Out.Summary.PreservedSaved, First.PreservedSaved);
-    // The round is the one analyzeProgram converged on.
-    ASSERT_EQ(Out.Values.In.size(), PA.Values[Largest]->In.size());
-    for (size_t B = 0; B < Out.Values.In.size(); ++B) {
-      EXPECT_EQ(Out.Values.In[B].R, PA.Values[Largest]->In[B].R) << B;
-      EXPECT_EQ(Out.Values.In[B].Gp, PA.Values[Largest]->In[B].Gp) << B;
-    }
+  detail::ProcRound Out;
+  detail::evaluateRound(*SP, PA, Largest, Out);
+  const ProcSummary First = Out.Summary;
+  const uint64_t Before = NumAllocations.load();
+  detail::evaluateRound(*SP, PA, Largest, Out);
+  const uint64_t Made = NumAllocations.load() - Before;
+  EXPECT_EQ(Made, 0u) << "a repeated round allocated";
+  EXPECT_EQ(Out.Summary.ExitGp, First.ExitGp);
+  // The round is the one analyzeProgram converged on.
+  ASSERT_EQ(Out.Values.In.size(), PA.Values[Largest]->In.size());
+  for (size_t B = 0; B < Out.Values.In.size(); ++B) {
+    EXPECT_EQ(Out.Values.In[B].R, PA.Values[Largest]->In[B].R) << B;
+    EXPECT_EQ(Out.Values.In[B].Gp, PA.Values[Largest]->In[B].Gp) << B;
   }
 }
 

@@ -8,33 +8,34 @@
 /// Pins analyzeProgram's complete answer on a fixed corpus, so a change to
 /// how the fixpoint is computed (memoization, scheduling of rounds) cannot
 /// change what it computes. Each program's ProgramAnalysis is folded into
-/// one digest: every CFG block's bounds, every summary field, every block
-/// entry value state, liveness in and out, the reach sets, and the
-/// combined indirect-call summary. The corpus is every SPEC92-shaped
+/// one digest: every CFG block's bounds, every summary field with the
+/// lint's PreservedSaved mask, every block entry value state, liveness in
+/// and out (analyzeLiveness), the reach sets, and the combined
+/// indirect-call summary. The corpus is every SPEC92-shaped
 /// workload in both link sets, the four megagen shapes at a small size,
 /// and one program after the call transforms with the analysis deletions
 /// applied (instructions carrying AnalysisNullified marks).
 ///
 /// The digests were recorded from the analysis as it stood before the
 /// memoized fixpoint became its only path (the round-by-round
-/// re-evaluation of every procedure), so they also pin the memoized path
-/// to that answer.
+/// re-evaluation of every procedure), and before the memory domain and
+/// liveness left the fixpoint, so they also pin the memoized path, the
+/// lint's PreservedSaved layer and on-demand liveness to that answer.
 ///
 /// The same file checks the two properties memoization must keep: a
 /// cache's history never leaks into a result (edit, re-analyze with the
 /// warm cache, compare with a fresh cache), and re-analyzing an unchanged
 /// program evaluates no round at all.
 ///
-/// It also holds the oracle for the rescheduler's ValuesOnly analysis: on
-/// the same corpus, its values and memBaseRegions must equal a Full
-/// analysis's, both on the lifted programs and (through the --verify
-/// check in the rescheduler) on the post-deletion programs the scheduler
-/// actually classifies.
+/// It also links the same corpus at -O full --sched --analysis --verify,
+/// whose rescheduler check compares the memBaseRegions it schedules with
+/// against a fresh analysis of the post-deletion program.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "megagen/MegaGen.h"
 #include "om/Analysis.h"
+#include "om/Lint.h"
 #include "om/OmImpl.h"
 #include "om/Verify.h"
 #include "support/ContentHash.h"
@@ -50,8 +51,13 @@ using namespace om64::om::analysis;
 
 namespace {
 
-/// Folds every field of \p PA into one 64-bit digest.
-uint64_t digestOf(const ProgramAnalysis &PA) {
+/// Folds every field of \p PA, the lint's PreservedSaved masks and the
+/// liveness analyzeLiveness computes through \p Cache into one 64-bit
+/// digest.
+uint64_t digestOf(const SymbolicProgram &SP, const ProgramAnalysis &PA,
+                  ThreadPool &Pool, SummaryCache &Cache) {
+  const std::vector<uint64_t> Saved = preservedSaved(SP, PA, Pool);
+  const ProgramLiveness Live = analyzeLiveness(SP, PA, Pool, Cache);
   Hasher H;
   auto addGp = [&H](const GpVal &G) {
     H.addBool(G.MaybeEntry);
@@ -67,13 +73,14 @@ uint64_t digestOf(const ProgramAnalysis &PA) {
     }
   }
   H.addU64(PA.Summaries.size());
-  for (const ProcSummary &S : PA.Summaries) {
+  for (size_t P = 0; P < PA.Summaries.size(); ++P) {
+    const ProcSummary &S = PA.Summaries[P];
     addGp(S.EntryGp);
     addGp(S.ExitGp);
     H.addBool(S.Returns);
     H.addBool(S.ClobbersPv);
     H.addBool(S.ReadsPvAtEntry);
-    H.addU64(S.PreservedSaved);
+    H.addU64(Saved[P]);
   }
   H.addU64(PA.Values.size());
   for (const std::shared_ptr<const ProcValues> &V : PA.Values) {
@@ -87,8 +94,8 @@ uint64_t digestOf(const ProgramAnalysis &PA) {
       }
     }
   }
-  H.addU64(PA.Live.size());
-  for (const std::shared_ptr<const ProcLiveness> &L : PA.Live) {
+  H.addU64(Live.Procs.size());
+  for (const std::shared_ptr<const ProcLiveness> &L : Live.Procs) {
     H.addU64(L->In.size());
     for (uint64_t U : L->In)
       H.addU64(U);
@@ -104,6 +111,18 @@ uint64_t digestOf(const ProgramAnalysis &PA) {
   H.addBool(PA.IndirectReturns);
   H.addBool(PA.IndirectReadsPv);
   return H.digest();
+}
+
+/// digestOf a fresh analysis of \p SP through \p Cache.
+uint64_t analyzeAndDigest(const SymbolicProgram &SP, ThreadPool &Pool,
+                          SummaryCache &Cache) {
+  return digestOf(SP, analyzeProgram(SP, Pool, Cache), Pool, Cache);
+}
+
+/// analyzeAndDigest with a call-local cache.
+uint64_t analyzeAndDigest(const SymbolicProgram &SP, ThreadPool &Pool) {
+  SummaryCache Local;
+  return analyzeAndDigest(SP, Pool, Local);
 }
 
 SymbolicProgram liftOrFail(const std::vector<obj::ObjectFile> &Objs,
@@ -174,8 +193,9 @@ const std::map<std::string, uint64_t> &goldenDigests() {
   return Golden;
 }
 
-void expectGolden(const std::string &Name, const ProgramAnalysis &PA) {
-  const uint64_t D = digestOf(PA);
+void expectGolden(const std::string &Name, const SymbolicProgram &SP,
+                  ThreadPool &Pool) {
+  const uint64_t D = analyzeAndDigest(SP, Pool);
   const std::string Entry =
       formatString("{\"%s\", %sull}", Name.c_str(), formatHex64(D).c_str());
   auto It = goldenDigests().find(Name);
@@ -191,7 +211,7 @@ TEST(AnalysisGoldenTest, WorkloadsInBothLinkSets) {
     for (wl::CompileMode Mode : {wl::CompileMode::Each, wl::CompileMode::All}) {
       SymbolicProgram SP = liftOrFail(W->linkSet(Mode), Pool);
       expectGolden(Name + (Mode == wl::CompileMode::Each ? "/each" : "/all"),
-                   analyzeProgram(SP, Pool));
+                   SP, Pool);
     }
   }
 }
@@ -203,8 +223,8 @@ TEST(AnalysisGoldenTest, MegagenShapes) {
         megagen::CallShape::HotLoops, megagen::CallShape::Mixed}) {
     megagen::MegaProgram MP = megagen::generate(smallSpec(Shape));
     SymbolicProgram SP = liftOrFail(MP.Objects, Pool);
-    expectGolden(std::string("megagen/") + megagen::shapeName(Shape),
-                 analyzeProgram(SP, Pool));
+    expectGolden(std::string("megagen/") + megagen::shapeName(Shape), SP,
+                 Pool);
   }
 }
 
@@ -225,7 +245,7 @@ TEST(AnalysisGoldenTest, ProgramAfterAnalysisDeletions) {
   runCallTransforms(SP, Opts, Stats, Ctx);
   ASSERT_GT(Stats.AnalysisGpPairsDeleted + Stats.AnalysisPvLoadsDeleted, 0u)
       << "the corpus program must carry Pass A deletions";
-  expectGolden("transformed/li", analyzeProgram(SP, Pool));
+  expectGolden("transformed/li", SP, Pool);
 }
 
 /// Replaces the destination of the first plain register-writing operate
@@ -248,7 +268,7 @@ TEST(AnalysisGoldenTest, CacheHistoryNeverChangesTheResult) {
   megagen::MegaProgram MP =
       megagen::generate(smallSpec(megagen::CallShape::Mixed));
   SymbolicProgram Before = liftOrFail(MP.Objects, Pool);
-  const uint64_t BeforeDigest = digestOf(analyzeProgram(Before, Pool));
+  const uint64_t BeforeDigest = analyzeAndDigest(Before, Pool);
 
   // Edit a procedure that others call, so the edit moves summaries.
   SymbolicProgram After = Before;
@@ -257,18 +277,18 @@ TEST(AnalysisGoldenTest, CacheHistoryNeverChangesTheResult) {
     if (!After.Procs[P].IsEntry && clobberGp(After.Procs[P]))
       Edited = P;
   ASSERT_NE(Edited, ~0u);
-  const uint64_t AfterDigest = digestOf(analyzeProgram(After, Pool));
+  const uint64_t AfterDigest = analyzeAndDigest(After, Pool);
   ASSERT_NE(AfterDigest, BeforeDigest) << "the edit must change the analysis";
 
   SummaryCache Warm;
-  EXPECT_EQ(digestOf(analyzeProgram(Before, Pool, Warm)), BeforeDigest);
+  EXPECT_EQ(analyzeAndDigest(Before, Pool, Warm), BeforeDigest);
   const SummaryCache::Counters First = Warm.Totals;
-  EXPECT_EQ(digestOf(analyzeProgram(After, Pool, Warm)), AfterDigest)
+  EXPECT_EQ(analyzeAndDigest(After, Pool, Warm), AfterDigest)
       << "a warm cache changed the analysis of the edited program";
   EXPECT_GT(Warm.Totals.RoundsReused, First.RoundsReused)
       << "the re-analysis reused nothing, so it tested nothing";
   // And back again: entries of the edited program must not leak either.
-  EXPECT_EQ(digestOf(analyzeProgram(Before, Pool, Warm)), BeforeDigest);
+  EXPECT_EQ(analyzeAndDigest(Before, Pool, Warm), BeforeDigest);
 }
 
 TEST(AnalysisGoldenTest, UnchangedProgramEvaluatesNoRound) {
@@ -278,11 +298,11 @@ TEST(AnalysisGoldenTest, UnchangedProgramEvaluatesNoRound) {
         megagen::generate(smallSpec(megagen::CallShape::DeepChains));
     SymbolicProgram SP = liftOrFail(MP.Objects, Pool);
     SummaryCache Cache;
-    const uint64_t D = digestOf(analyzeProgram(SP, Pool, Cache));
+    const uint64_t D = analyzeAndDigest(SP, Pool, Cache);
     const SummaryCache::Counters First = Cache.Totals;
     EXPECT_EQ(First.Runs, 1u);
     EXPECT_GT(First.RoundsEvaluated, 0u);
-    EXPECT_EQ(digestOf(analyzeProgram(SP, Pool, Cache)), D);
+    EXPECT_EQ(analyzeAndDigest(SP, Pool, Cache), D);
     EXPECT_EQ(Cache.Totals.Runs, 2u);
     EXPECT_EQ(Cache.Totals.RoundsEvaluated, First.RoundsEvaluated)
         << "-j" << Jobs << ": a second call re-evaluated rounds";
@@ -290,53 +310,9 @@ TEST(AnalysisGoldenTest, UnchangedProgramEvaluatesNoRound) {
   }
 }
 
-/// The ValuesOnly analysis of \p SP must compute the Full analysis's
-/// values and value-side summaries, and so the same memBaseRegions on
-/// every memory instruction, sharing no cache entry with it.
-void expectValuesOnlyMatchesFull(const std::string &Name,
-                                 const SymbolicProgram &SP,
-                                 ThreadPool &Pool) {
-  SummaryCache Shared;
-  const ProgramAnalysis Full = analyzeProgram(SP, Pool, Shared);
-  const ProgramAnalysis Values =
-      analyzeProgram(SP, Pool, Shared, AnalysisRequest::ValuesOnly);
-  EXPECT_EQ(Shared.Totals.ValueRuns, 1u);
-  EXPECT_TRUE(Values.Live.empty()) << Name;
-  ASSERT_EQ(Values.Values.size(), Full.Values.size()) << Name;
-  size_t MemInsts = 0;
-  for (uint32_t P = 0; P < SP.Procs.size(); ++P) {
-    const ProcSummary &F = Full.Summaries[P], &V = Values.Summaries[P];
-    EXPECT_TRUE(F.EntryGp == V.EntryGp && F.ExitGp == V.ExitGp &&
-                F.Returns == V.Returns && F.ClobbersPv == V.ClobbersPv &&
-                F.ReadsPvAtEntry == V.ReadsPvAtEntry)
-        << Name << ": summary of " << SP.Procs[P].Name;
-    EXPECT_EQ(V.PreservedSaved, ~0ull) << Name << ": " << SP.Procs[P].Name;
-    const std::vector<ValueState> &FIn = Full.Values[P]->In;
-    const std::vector<ValueState> &VIn = Values.Values[P]->In;
-    ASSERT_EQ(FIn.size(), VIn.size()) << Name << ": " << SP.Procs[P].Name;
-    for (size_t B = 0; B < FIn.size(); ++B)
-      EXPECT_TRUE(FIn[B].Unreachable == VIn[B].Unreachable &&
-                  FIn[B].R == VIn[B].R && FIn[B].Gp == VIn[B].Gp)
-          << Name << ": " << SP.Procs[P].Name << " block " << B;
-    const std::vector<sched::MemRegion> Want = memBaseRegions(SP, Full, P);
-    const std::vector<sched::MemRegion> Got = memBaseRegions(SP, Values, P);
-    for (uint32_t I = 0; I < SP.Procs[P].Insts.size(); ++I) {
-      const isa::Opcode Op = SP.Procs[P].Insts[I].I.Op;
-      if (!isa::isLoad(Op) && !isa::isStore(Op))
-        continue;
-      ++MemInsts;
-      EXPECT_EQ(Got[I], Want[I])
-          << Name << ": " << SP.Procs[P].Name << " instruction " << I + 1;
-    }
-  }
-  EXPECT_GT(MemInsts, 0u) << Name;
-  EXPECT_EQ(Values.IndirectExitGp, Full.IndirectExitGp) << Name;
-  EXPECT_EQ(Values.ReachableGroups, Full.ReachableGroups) << Name;
-}
-
 /// Links \p Objs at -O full --sched --analysis --verify: the rescheduler
-/// compares its ValuesOnly regions with a fresh Full analysis of the
-/// post-deletion program on every instruction.
+/// compares its regions with a fresh analysis of the post-deletion program
+/// on every instruction.
 void expectVerifiedSchedLink(const std::string &Name,
                              const std::vector<obj::ObjectFile> &Objs) {
   OmOptions Opts;
@@ -347,47 +323,40 @@ void expectVerifiedSchedLink(const std::string &Name,
   Opts.Jobs = 1;
   Result<OmResult> R = optimize(Objs, Opts);
   ASSERT_TRUE(bool(R)) << Name << ": " << R.message();
-  EXPECT_EQ(R->Stats.AnalysisValueRuns, 1u) << Name;
 }
 
 TEST(ValuesOnlyOracleTest, WorkloadsInBothLinkSets) {
-  ThreadPool Pool(4);
   for (const std::string &Name : wl::workloadNames()) {
     Result<wl::BuiltWorkload> W = wl::buildWorkload(Name);
     ASSERT_TRUE(bool(W)) << Name << ": " << W.message();
     for (wl::CompileMode Mode : {wl::CompileMode::Each, wl::CompileMode::All}) {
       const std::string Set =
           Name + (Mode == wl::CompileMode::Each ? "/each" : "/all");
-      expectValuesOnlyMatchesFull(Set, liftOrFail(W->linkSet(Mode), Pool),
-                                  Pool);
       expectVerifiedSchedLink(Set, W->linkSet(Mode));
     }
   }
 }
 
 TEST(ValuesOnlyOracleTest, MegagenShapes) {
-  ThreadPool Pool(4);
   for (megagen::CallShape Shape :
        {megagen::CallShape::DeepChains, megagen::CallShape::WideFanout,
         megagen::CallShape::HotLoops, megagen::CallShape::Mixed}) {
     megagen::MegaProgram MP = megagen::generate(smallSpec(Shape));
     const std::string Name =
         std::string("megagen/") + megagen::shapeName(Shape);
-    expectValuesOnlyMatchesFull(Name, liftOrFail(MP.Objects, Pool), Pool);
     expectVerifiedSchedLink(Name, MP.Objects);
   }
 }
 
 TEST(ValuesOnlyOracleTest, VerifyNamesTheMismatchedInstruction) {
   // Forget that SP is a stack pointer in one procedure's stored values:
-  // its stack accesses classify Unknown, which the fresh Full analysis
+  // its stack accesses classify Unknown, which the fresh analysis
   // contradicts, instruction by instruction.
   ThreadPool Pool(1);
   megagen::MegaProgram MP =
       megagen::generate(smallSpec(megagen::CallShape::Mixed));
   SymbolicProgram SP = liftOrFail(MP.Objects, Pool);
-  ProgramAnalysis PA =
-      analyzeProgram(SP, Pool, AnalysisRequest::ValuesOnly);
+  ProgramAnalysis PA = analyzeProgram(SP, Pool);
   ASSERT_FALSE(bool(verifyMemBaseRegions(SP, PA, Pool)));
   uint32_t Proc = ~0u, Inst = 0;
   for (uint32_t P = 0; P < SP.Procs.size() && Proc == ~0u; ++P) {

@@ -6,14 +6,16 @@
 ///
 /// \file
 /// Tier-1 coverage of om/Analysis.h: the abstract value lattice, golden
-/// CFG/dominator/liveness results on hand-built procedures (diamond, loop,
-/// irreducible), memory-base classification, the dataflow-vs-pattern
+/// CFG/liveness results on hand-built procedures (diamond, loop,
+/// irreducible), liveness computed only when Pass B asks, memory-base
+/// classification, the dataflow-vs-pattern
 /// ReachableGroups subset audit, and the analysis-driven deletion phase of
 /// a full optimize() run (counters, verify stage, execution equivalence).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "om/Analysis.h"
+#include "om/Lint.h"
 #include "om/OmImpl.h"
 #include "om/Verify.h"
 #include "support/ThreadPool.h"
@@ -118,7 +120,6 @@ TEST(CfgTest, DiamondDominators) {
              plain(makeMem(Opcode::Lda, V0, 2, Zero)), // C: 3
              ret()};                              // D: 4
   Cfg C = buildCfg(P);
-  Dominators D = computeDominators(C);
   ASSERT_EQ(C.Blocks.size(), 4u);
   // A=0 [0,1), B=1 [1,3), C=2 [3,4), D=3 [4,5).
   EXPECT_EQ(C.BlockOf[0], 0u);
@@ -127,12 +128,6 @@ TEST(CfgTest, DiamondDominators) {
   EXPECT_EQ(C.BlockOf[4], 3u);
   for (uint32_t B = 0; B < 4; ++B)
     EXPECT_TRUE(C.Blocks[B].Reachable) << "block " << B;
-  // The entry dominates everything; neither arm dominates the join.
-  for (uint32_t B = 0; B < 4; ++B)
-    EXPECT_TRUE(D.dominates(0, B));
-  EXPECT_FALSE(D.dominates(1, 3));
-  EXPECT_FALSE(D.dominates(2, 3));
-  EXPECT_EQ(D.Idom[3], 0u);
   EXPECT_FALSE(C.FallsOffEnd);
 }
 
@@ -144,18 +139,12 @@ TEST(CfgTest, LoopBackEdge) {
              branch(Opcode::Bne, T0, 1),                //    2
              ret()};                                    // C: 3
   Cfg C = buildCfg(P);
-  Dominators D = computeDominators(C);
   ASSERT_EQ(C.Blocks.size(), 3u);
   // B's successors: itself (back edge) and C.
   const CfgBlock &B = C.Blocks[1];
   ASSERT_EQ(B.NumSuccs, 2u);
   EXPECT_TRUE((B.Succs[0] == 1 && B.Succs[1] == 2) ||
               (B.Succs[0] == 2 && B.Succs[1] == 1));
-  // A dom B dom C despite the cycle.
-  EXPECT_TRUE(D.dominates(0, 2));
-  EXPECT_TRUE(D.dominates(1, 2));
-  EXPECT_EQ(D.Idom[1], 0u);
-  EXPECT_EQ(D.Idom[2], 1u);
 }
 
 TEST(CfgTest, IrreducibleTwoEntryLoop) {
@@ -168,16 +157,7 @@ TEST(CfgTest, IrreducibleTwoEntryLoop) {
              branch(Opcode::Beq, V0, 1),               //    4
              ret()};                                   // Z: 5
   Cfg C = buildCfg(P);
-  Dominators D = computeDominators(C);
   ASSERT_EQ(C.Blocks.size(), 4u);
-  // Both loop entries are dominated only by the fork, not by each other.
-  EXPECT_EQ(D.Idom[1], 0u);
-  EXPECT_EQ(D.Idom[2], 0u);
-  EXPECT_FALSE(D.dominates(1, 2));
-  EXPECT_FALSE(D.dominates(2, 1));
-  // The exit is reached only through Y.
-  EXPECT_EQ(D.Idom[3], 2u);
-  EXPECT_TRUE(D.dominates(2, 3));
 }
 
 TEST(CfgTest, UnreachableAndFallOff) {
@@ -187,15 +167,11 @@ TEST(CfgTest, UnreachableAndFallOff) {
              plain(makeMem(Opcode::Lda, V0, 1, Zero)), // skipped
              plain(makeMem(Opcode::Lda, V0, 2, Zero))}; // no terminator
   Cfg C = buildCfg(P);
-  Dominators D = computeDominators(C);
   ASSERT_EQ(C.Blocks.size(), 3u);
   EXPECT_TRUE(C.Blocks[0].Reachable);
   EXPECT_FALSE(C.Blocks[1].Reachable);
   EXPECT_TRUE(C.Blocks[2].Reachable);
   EXPECT_TRUE(C.FallsOffEnd);
-  // Unreachable blocks dominate nothing and are dominated by nothing.
-  EXPECT_FALSE(D.dominates(0, 1));
-  EXPECT_FALSE(D.dominates(1, 1));
 }
 
 //===----------------------------------------------------------------------===//
@@ -206,14 +182,16 @@ TEST(AnalysisTest, LivenessGolden) {
   SymbolicProgram Prog = makeProgram(
       {plain(makeOp(Opcode::Addq, T1, Zero, V0)), ret()});
   ThreadPool Pool(1);
-  ProgramAnalysis PA = analyzeProgram(Prog, Pool);
-  ASSERT_EQ(PA.Live.size(), 1u);
-  uint64_t EntryLive = PA.Live[0]->In[0];
+  SummaryCache Cache;
+  ProgramAnalysis PA = analyzeProgram(Prog, Pool, Cache);
+  ProgramLiveness Live = analyzeLiveness(Prog, PA, Pool, Cache);
+  ASSERT_EQ(Live.Procs.size(), 1u);
+  uint64_t EntryLive = Live.Procs[0]->In[0];
   EXPECT_TRUE(EntryLive & (1ull << intUnit(T1))); // read before any write
   EXPECT_FALSE(EntryLive & (1ull << intUnit(T0))); // never read
   EXPECT_TRUE(EntryLive & (1ull << intUnit(RA))); // the RET needs it
   // After the ADDQ writes V0, T1 is dead.
-  uint64_t AfterAdd = PA.liveAfter(Prog, 0, 0);
+  uint64_t AfterAdd = Live.liveAfter(Prog, PA, 0, 0);
   EXPECT_FALSE(AfterAdd & (1ull << intUnit(T1)));
   EXPECT_TRUE(AfterAdd & (1ull << intUnit(V0))); // the return value
 }
@@ -324,6 +302,29 @@ TEST(AnalysisTest, AnalysisDeletionsBeatPatternAndStayCorrect) {
   EXPECT_EQ(RunAna->ExitCode, RunPattern->ExitCode);
 }
 
+TEST(AnalysisTest, OnlyPassBComputesLiveness) {
+  // Pass A, like the rescheduler, reads values only; Pass B computes each
+  // procedure's liveness once, through the link's cache.
+  lang::Program P = parseProgram({{"t", CallHeavySource}});
+  std::vector<obj::ObjectFile> Objs = compileAll(P);
+  OmOptions Opts;
+  Opts.Level = OmLevel::Full;
+  Opts.Analysis = true;
+  ThreadPool Pool(1);
+  Result<SymbolicProgram> SP = liftProgram(Objs, Opts, Pool);
+  ASSERT_TRUE(bool(SP)) << SP.message();
+  SummaryCache Cache;
+  OmContext Ctx(*SP, Pool, Cache);
+  Ctx.program();
+  EXPECT_TRUE(Cache.Liveness.empty()) << "an analysis computed liveness";
+  OmStats Stats;
+  runCallTransforms(*SP, Opts, Stats, Ctx);
+  // Pass A's deletions move the keys of the procedures they touch, so a
+  // liveness computed for Pass A's program would add entries.
+  ASSERT_GT(Stats.AnalysisGpPairsDeleted + Stats.AnalysisPvLoadsDeleted, 0u);
+  EXPECT_EQ(Cache.Liveness.size(), SP->Procs.size());
+}
+
 TEST(AnalysisTest, SchedulerUsesBaseRegionsUnderAnalysis) {
   lang::Program P = parseProgram({{"t", CallHeavySource}});
   DiagnosticEngine Diags;
@@ -371,12 +372,10 @@ TEST(AnalysisTest, WorkCountersAreIdenticalAcrossJobCounts) {
   const OmStats &S = Serial->Stats;
   // Lint, deletion Pass A, Pass B, and the rescheduler's classification.
   EXPECT_EQ(S.AnalysisRuns, 4u);
-  EXPECT_EQ(S.AnalysisValueRuns, 1u); // the rescheduler's
   EXPECT_GT(S.AnalysisRoundsEvaluated, 0u);
   // Later runs reuse the rounds of procedures the passes left unchanged.
   EXPECT_GT(S.AnalysisRoundsReused, 0u);
   EXPECT_EQ(Par->Stats.AnalysisRuns, S.AnalysisRuns);
-  EXPECT_EQ(Par->Stats.AnalysisValueRuns, S.AnalysisValueRuns);
   EXPECT_EQ(Par->Stats.AnalysisRoundsEvaluated, S.AnalysisRoundsEvaluated);
   EXPECT_EQ(Par->Stats.AnalysisRoundsReused, S.AnalysisRoundsReused);
 
@@ -386,7 +385,6 @@ TEST(AnalysisTest, WorkCountersAreIdenticalAcrossJobCounts) {
   Result<OmResult> Plain = optimize(Objs, Opts);
   ASSERT_TRUE(bool(Plain)) << Plain.message();
   EXPECT_EQ(Plain->Stats.AnalysisRuns, 0u);
-  EXPECT_EQ(Plain->Stats.AnalysisValueRuns, 0u);
   EXPECT_EQ(Plain->Stats.AnalysisRoundsEvaluated, 0u);
   EXPECT_EQ(Plain->Stats.AnalysisRoundsReused, 0u);
 }

@@ -15,7 +15,7 @@
 
 #include "isa/Inst.h"
 #include "megagen/MegaGen.h"
-#include "om/Analysis.h"
+#include "om/Lint.h"
 #include "om/OmImpl.h"
 #include "support/ThreadPool.h"
 

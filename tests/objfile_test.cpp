@@ -9,6 +9,7 @@
 #include "objfile/ObjectFile.h"
 
 #include "isa/Inst.h"
+#include "megagen/MegaGen.h"
 
 #include <gtest/gtest.h>
 
@@ -227,6 +228,40 @@ TEST(ObjectFileTest, RejectsHostileDataSymbols) {
   expectRejected(NoDesc, "demo.table has no procedure descriptor");
   expectRejected(withDataSymbol(8 + 4096, 8), "demo.table extends past .data");
   expectRejected(withDataSymbol(~0ull - 3, 8), "demo.table extends past .data");
+}
+
+TEST(ObjectFileTest, RejectsHostileBssSymbols) {
+  // A generated module's .bss symbol, given a size no .bss holds (this
+  // one once aborted `omlink -O none` and linked at every other level),
+  // placed past .bss, and given an extent that wraps past 2^64.
+  megagen::MegaSpec Spec;
+  Spec.Modules = 2;
+  Spec.ProcsPerModule = 4;
+  Spec.TargetInstructions = 2000;
+  const ObjectFile Clean = megagen::generate(Spec).Objects[1];
+  size_t Bss = Clean.Symbols.size();
+  for (size_t I = 0; I < Clean.Symbols.size() && Bss == Clean.Symbols.size();
+       ++I)
+    if (Clean.Symbols[I].IsDefined &&
+        Clean.Symbols[I].Section == SectionKind::Bss)
+      Bss = I;
+  ASSERT_LT(Bss, Clean.Symbols.size()) << "the module defines no .bss";
+  EXPECT_FALSE(bool(Clean.verify()));
+  const std::string Diagnostic =
+      Clean.Symbols[Bss].Name + " extends past .bss";
+  for (auto [Offset, Size] :
+       {std::pair<uint64_t, uint64_t>{0, 22517998136852536ull},
+        {Clean.BssSize + 8, 8},
+        {~0ull - 3, 8}}) {
+    ObjectFile Bad = Clean;
+    Bad.Symbols[Bss].Offset = Offset;
+    Bad.Symbols[Bss].Size = Size;
+    expectRejected(Bad, Diagnostic);
+  }
+  ObjectFile Fits = Clean;
+  Fits.Symbols[Bss].Offset = 0;
+  Fits.Symbols[Bss].Size = Clean.BssSize;
+  EXPECT_FALSE(bool(Fits.verify())) << "a symbol spanning .bss is in bounds";
 }
 
 /// sampleObject with its text split into two procedures: demo.main holds

@@ -33,7 +33,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "objfile/ObjectFile.h"
-#include "om/Analysis.h"
+#include "om/Lint.h"
 #include "om/Om.h"
 #include "om/OmImpl.h"
 #include "support/FileIO.h"

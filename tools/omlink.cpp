@@ -50,7 +50,7 @@
 
 #include "linker/Linker.h"
 #include "objfile/ObjectFile.h"
-#include "om/Analysis.h"
+#include "om/Lint.h"
 #include "om/Om.h"
 #include "om/OmImpl.h"
 #include "om/Verify.h"
@@ -116,7 +116,6 @@ static std::string statsJson(const om::OmStats &S, om::OmLevel Level) {
   U("analysis_dead_loads_deleted", S.AnalysisDeadLoadsDeleted);
   U("sched_mem_deps_freed", S.SchedMemDepsFreed);
   U("analysis_runs", S.AnalysisRuns);
-  U("analysis_value_runs", S.AnalysisValueRuns);
   U("analysis_rounds_evaluated", S.AnalysisRoundsEvaluated);
   U("analysis_rounds_reused", S.AnalysisRoundsReused);
   J += "  \"stage_seconds\": {\n";
@@ -378,14 +377,13 @@ int main(int argc, char **argv) {
         std::fprintf(stderr,
                      "  analysis       %llu GP pair(s), %llu PV load(s), "
                      "%llu dead load(s) deleted; %llu sched dep(s) freed\n"
-                     "  dataflow       %llu run(s), %llu values-only; "
+                     "  dataflow       %llu run(s); "
                      "%llu round(s) evaluated, %llu reused\n",
                      (unsigned long long)S.AnalysisGpPairsDeleted,
                      (unsigned long long)S.AnalysisPvLoadsDeleted,
                      (unsigned long long)S.AnalysisDeadLoadsDeleted,
                      (unsigned long long)S.SchedMemDepsFreed,
                      (unsigned long long)S.AnalysisRuns,
-                     (unsigned long long)S.AnalysisValueRuns,
                      (unsigned long long)S.AnalysisRoundsEvaluated,
                      (unsigned long long)S.AnalysisRoundsReused);
       if (Opts.HotColdLayout)
