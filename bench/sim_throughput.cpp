@@ -11,11 +11,9 @@
 /// throughput bounds how large a workload suite we can afford; this bench
 /// records the trajectory across PRs.
 ///
-/// Functional throughput is measured per dispatch mechanism — computed
-/// goto (the default, metric `functional_mips`) and the portable switch on
-/// handler ids (`functional_mips_switch`), both running the same handlers
-/// — plus their ratio (`dispatch_speedup`) and timing-mode throughput
-/// (default dispatch). A final section runs the whole 19-workload suite
+/// Functional throughput (`functional_mips`) and timing-mode throughput
+/// (`timing_mips`) are measured per workload. A final section runs the
+/// whole 19-workload suite
 /// concurrently through sim::runSuite and records the wall-clock and
 /// effective MIPS of the parallel sweep (`suite_wall_s`, `suite_mips`),
 /// the shape the slow differential tests and CI actually execute.
@@ -45,9 +43,8 @@ namespace {
 struct Row {
   std::string Name;
   uint64_t Instructions = 0;
-  double ThreadedSec = 1e30; // best-of-reps wall time, computed goto
-  double SwitchSec = 1e30;   // best-of-reps wall time, switch dispatch
-  double TimingSec = 1e30;   // best-of-reps wall time, timing mode
+  double FunctionalSec = 1e30; // best-of-reps wall time, functional mode
+  double TimingSec = 1e30;     // best-of-reps wall time, timing mode
 };
 
 double mips(uint64_t Insts, double Sec) {
@@ -66,10 +63,9 @@ double timedRun(const std::string &Name, const obj::Image &Img,
   return std::chrono::duration<double>(End - Start).count();
 }
 
-sim::SimConfig functionalConfig(sim::DispatchMode Mode) {
+sim::SimConfig functionalConfig() {
   sim::SimConfig Cfg;
   Cfg.Timing = false;
-  Cfg.Dispatch = Mode;
   return Cfg;
 }
 
@@ -94,24 +90,14 @@ int main(int argc, char **argv) {
 
   std::vector<Row> Rows;
   uint64_t TotalInsts = 0;
-  double TotalThreaded = 0, TotalSwitch = 0, TotalTiming = 0;
+  double TotalFunctional = 0, TotalTiming = 0;
   for (size_t I = 0; I < Suite.size(); ++I) {
     Row R;
     R.Name = Suite[I].Name;
     for (unsigned Rep = 0; Rep < Reps; ++Rep) {
-      R.ThreadedSec = std::min(
-          R.ThreadedSec,
-          timedRun(R.Name, Images[I],
-                   functionalConfig(sim::DispatchMode::Threaded),
-                   R.Instructions));
-      uint64_t SwitchInsts;
-      R.SwitchSec = std::min(
-          R.SwitchSec,
-          timedRun(R.Name, Images[I],
-                   functionalConfig(sim::DispatchMode::Switch),
-                   SwitchInsts));
-      if (SwitchInsts != R.Instructions)
-        fail(R.Name + ": dispatches disagree on instruction count");
+      R.FunctionalSec = std::min(
+          R.FunctionalSec, timedRun(R.Name, Images[I], functionalConfig(),
+                                    R.Instructions));
       if (!FunctionalOnly) {
         uint64_t Ignored;
         R.TimingSec = std::min(
@@ -120,21 +106,19 @@ int main(int argc, char **argv) {
       }
     }
     TotalInsts += R.Instructions;
-    TotalThreaded += R.ThreadedSec;
-    TotalSwitch += R.SwitchSec;
+    TotalFunctional += R.FunctionalSec;
     if (!FunctionalOnly)
       TotalTiming += R.TimingSec;
     Rows.push_back(R);
   }
 
   // Whole-suite shape: every workload concurrently via the suite runner
-  // (computed-goto dispatch), best of reps. On a single-core host this
+  // (functional mode), best of reps. On a single-core host this
   // degrades to roughly the serial sum; on wider hosts it tracks the
   // wall-clock the slow differential sweeps actually spend simulating.
   std::vector<sim::SuiteJob> Jobs;
   for (size_t I = 0; I < Suite.size(); ++I)
-    Jobs.push_back({Suite[I].Name, &Images[I],
-                    functionalConfig(sim::DispatchMode::Threaded)});
+    Jobs.push_back({Suite[I].Name, &Images[I], functionalConfig()});
   double SuiteSec = 1e30;
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
     auto Start = std::chrono::steady_clock::now();
@@ -149,28 +133,24 @@ int main(int argc, char **argv) {
 
   std::printf(
       "Simulator throughput (simulated MIPS, best of %u reps)\n", Reps);
-  std::printf("%-10s | %12s | %10s | %10s | %11s\n", "program", "insts",
-              "thr MIPS", "sw MIPS", "timing MIPS");
-  rule(66);
+  std::printf("%-10s | %12s | %10s | %11s\n", "program", "insts",
+              "func MIPS", "timing MIPS");
+  rule(53);
   for (const Row &R : Rows)
-    std::printf("%-10s | %12llu | %10.1f | %10.1f | %11s\n", R.Name.c_str(),
+    std::printf("%-10s | %12llu | %10.1f | %11s\n", R.Name.c_str(),
                 (unsigned long long)R.Instructions,
-                mips(R.Instructions, R.ThreadedSec),
-                mips(R.Instructions, R.SwitchSec),
+                mips(R.Instructions, R.FunctionalSec),
                 FunctionalOnly
                     ? "-"
                     : formatString("%.1f", mips(R.Instructions, R.TimingSec))
                           .c_str());
-  rule(66);
-  double AggThreaded = mips(TotalInsts, TotalThreaded);
-  double AggSwitch = mips(TotalInsts, TotalSwitch);
+  rule(53);
+  double AggFunctional = mips(TotalInsts, TotalFunctional);
   double AggTiming = FunctionalOnly ? 0 : mips(TotalInsts, TotalTiming);
-  std::printf("%-10s | %12llu | %10.1f | %10.1f | %11s\n", "aggregate",
-              (unsigned long long)TotalInsts, AggThreaded, AggSwitch,
+  std::printf("%-10s | %12llu | %10.1f | %11s\n", "aggregate",
+              (unsigned long long)TotalInsts, AggFunctional,
               FunctionalOnly ? "-"
                              : formatString("%.1f", AggTiming).c_str());
-  std::printf("dispatch speedup (threaded/switch): %.2fx\n",
-              AggSwitch > 0 ? AggThreaded / AggSwitch : 0.0);
   std::printf("suite sweep (%zu workloads, %u threads): %.3fs wall, "
               "%.1f MIPS\n",
               Jobs.size(), ThreadPool::defaultConcurrency(), SuiteSec,
@@ -185,14 +165,9 @@ int main(int argc, char **argv) {
     Entries.push_back({"aggregate", "instructions",
                        static_cast<double>(TotalInsts), "insts",
                        /*HigherIsBetter=*/false, /*TolerancePct=*/-1});
-    Entries.push_back({"aggregate", "functional_mips", AggThreaded, "mips",
-                       /*HigherIsBetter=*/true, /*TolerancePct=*/80});
-    Entries.push_back({"aggregate", "functional_mips_switch", AggSwitch,
+    Entries.push_back({"aggregate", "functional_mips", AggFunctional,
                        "mips", /*HigherIsBetter=*/true,
                        /*TolerancePct=*/80});
-    Entries.push_back({"aggregate", "dispatch_speedup",
-                       AggSwitch > 0 ? AggThreaded / AggSwitch : 0.0, "x",
-                       /*HigherIsBetter=*/true, /*TolerancePct=*/60});
     Entries.push_back({"aggregate", "suite_wall_s", SuiteSec, "s",
                        /*HigherIsBetter=*/false, /*TolerancePct=*/400});
     Entries.push_back({"aggregate", "suite_mips",
@@ -206,10 +181,7 @@ int main(int argc, char **argv) {
                          static_cast<double>(R.Instructions), "insts",
                          /*HigherIsBetter=*/false, /*TolerancePct=*/-1});
       Entries.push_back({R.Name, "functional_mips",
-                         mips(R.Instructions, R.ThreadedSec), "mips",
-                         /*HigherIsBetter=*/true, /*TolerancePct=*/80});
-      Entries.push_back({R.Name, "functional_mips_switch",
-                         mips(R.Instructions, R.SwitchSec), "mips",
+                         mips(R.Instructions, R.FunctionalSec), "mips",
                          /*HigherIsBetter=*/true, /*TolerancePct=*/80});
     }
     writeBenchJson("sim_throughput", Entries, Args.JsonPath);

@@ -178,8 +178,8 @@ Error LinkContext::layout() {
 
   // Data region: the merged GAT groups first, then each object's data in
   // module order (the traditional linker does not sort by size; that is
-  // OM's improvement), then bss. Objects' sizes grow one extent through
-  // growDataExtent, so a hostile .bss size is refused, never wrapped.
+  // OM's improvement), then bss, laid out by layoutModuleData, so a
+  // hostile .bss size is refused, never wrapped.
   uint64_t DataCur = 0;
   GroupBase.resize(GroupSlots.size());
   GpValue.resize(GroupSlots.size());
@@ -189,24 +189,14 @@ Error LinkContext::layout() {
     DataCur += GroupSlots[G].size() * 8;
   }
   DataRegionBase = Layout::DataBase + DataCur;
-  DataOffsetOf.resize(Objects.size());
-  for (size_t ObjIdx = 0; ObjIdx < Objects.size(); ++ObjIdx) {
-    DataOffsetOf[ObjIdx] = DataCur;
-    const ObjectFile &O = Objects[ObjIdx];
-    if (Error E = growDataExtent(DataCur, O.Data.size(), O.ModuleName))
-      return E;
-  }
-  TotalData = DataCur;
-
+  Result<ModuleDataLayout> Sections = layoutModuleData(Objects, DataCur);
+  if (!Sections)
+    return Sections.takeError();
+  DataOffsetOf = std::move(Sections->DataOffset);
+  TotalData = Sections->DataEnd;
   BssBase = Layout::DataBase + TotalData;
-  BssOffsetOf.resize(Objects.size());
-  for (size_t ObjIdx = 0; ObjIdx < Objects.size(); ++ObjIdx) {
-    BssOffsetOf[ObjIdx] = DataCur - TotalData;
-    const ObjectFile &O = Objects[ObjIdx];
-    if (Error E = growDataExtent(DataCur, O.BssSize, O.ModuleName))
-      return E;
-  }
-  TotalBss = DataCur - TotalData;
+  BssOffsetOf = std::move(Sections->BssOffset);
+  TotalBss = Sections->End - TotalData;
   return Error::success();
 }
 

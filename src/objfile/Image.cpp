@@ -7,6 +7,7 @@
 #include "objfile/Image.h"
 
 #include "isa/Inst.h"
+#include "objfile/ObjectFile.h"
 #include "support/ByteStream.h"
 #include "support/Format.h"
 
@@ -25,6 +26,27 @@ Error obj::growDataExtent(uint64_t &Extent, uint64_t Size,
         What.c_str(), static_cast<unsigned long long>(Layout::MaxDataBytes)));
   Extent += (Size + 7) & ~7ull;
   return Error::success();
+}
+
+Result<ModuleDataLayout>
+obj::layoutModuleData(const std::vector<ObjectFile> &Objs, uint64_t Start) {
+  ModuleDataLayout L;
+  uint64_t Cur = Start;
+  L.DataOffset.reserve(Objs.size());
+  for (const ObjectFile &O : Objs) {
+    L.DataOffset.push_back(Cur);
+    if (Error E = growDataExtent(Cur, O.Data.size(), O.ModuleName))
+      return E;
+  }
+  L.DataEnd = Cur;
+  L.BssOffset.reserve(Objs.size());
+  for (const ObjectFile &O : Objs) {
+    L.BssOffset.push_back(Cur - L.DataEnd);
+    if (Error E = growDataExtent(Cur, O.BssSize, O.ModuleName))
+      return E;
+  }
+  L.End = Cur;
+  return L;
 }
 
 static constexpr uint32_t ImageMagic = 0x45584141; // "AAXE"

@@ -45,6 +45,25 @@ struct Layout {
 /// leaves \p Extent alone. It never wraps, whatever the size.
 Error growDataExtent(uint64_t &Extent, uint64_t Size, const std::string &What);
 
+struct ObjectFile;
+
+/// Where the standard link puts the modules' sections in the data segment:
+/// every module's .data in module order, then every module's .bss.
+struct ModuleDataLayout {
+  std::vector<uint64_t> DataOffset; // per module, past Layout::DataBase
+  std::vector<uint64_t> BssOffset;  // per module, past DataEnd
+  uint64_t DataEnd = 0;             // the first .bss byte, past DataBase
+  uint64_t End = 0;                 // the last .bss's end, past DataBase
+};
+
+/// Lays out \p Objs's .data and .bss sections from \p Start (bytes past
+/// Layout::DataBase), growing one extent through growDataExtent, so a
+/// section past the data segment limit fails, naming its module. The
+/// standard link places sections with it. OM places symbols instead, but
+/// checks its input with it, so both links reject the same modules.
+Result<ModuleDataLayout>
+layoutModuleData(const std::vector<ObjectFile> &Objs, uint64_t Start);
+
 /// A symbol surviving into the executable (for disassembly and statistics).
 struct ImageSymbol {
   std::string Name;

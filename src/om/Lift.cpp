@@ -704,6 +704,12 @@ Result<SymbolicProgram>
 om64::om::liftProgram(const std::vector<ObjectFile> &Objs,
                       const OmOptions &Opts, ThreadPool &Pool,
                       LiftCache *Cache) {
+  // OM lays data out by symbol, but its input must fit the data segment
+  // as the standard link lays out sections, so both links reject the same
+  // modules with the same diagnostic.
+  if (Result<obj::ModuleDataLayout> Sections = obj::layoutModuleData(Objs, 0);
+      !Sections)
+    return Sections.takeError();
   Lifter L(Objs, Opts, Pool, Cache);
   return L.run();
 }

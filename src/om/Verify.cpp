@@ -707,26 +707,14 @@ om64::om::runDifferential(const std::vector<ObjectFile> &Objects,
     Linked.push_back(std::move(*R));
   }
 
-  // The runs are independent, so execute every leg under BOTH dispatch
-  // mechanisms concurrently (8 jobs through the suite runner). This both
-  // parallelizes the sweep and turns every differential invocation into a
-  // dispatch-parity check: computed-goto dispatch must reproduce the
-  // switch on handler ids bit for bit before the legs are compared.
+  // The runs are independent, so execute the legs concurrently (one
+  // suite job each).
   const size_t NLegs = Linked.size();
-  std::vector<sim::SuiteJob> Jobs;
-  Jobs.reserve(NLegs * 2);
+  std::vector<sim::SuiteJob> Jobs(NLegs);
   for (size_t I = 0; I < NLegs; ++I) {
-    for (sim::DispatchMode Mode :
-         {sim::DispatchMode::Threaded, sim::DispatchMode::Switch}) {
-      sim::SuiteJob Job;
-      Job.Name = legName(Cfgs[I]) +
-                 (Mode == sim::DispatchMode::Threaded ? "/threaded"
-                                                      : "/switch");
-      Job.Image = &Linked[I].Image;
-      Job.Config.Timing = false;
-      Job.Config.Dispatch = Mode;
-      Jobs.push_back(std::move(Job));
-    }
+    Jobs[I].Name = legName(Cfgs[I]);
+    Jobs[I].Image = &Linked[I].Image;
+    Jobs[I].Config.Timing = false;
   }
   std::vector<sim::SuiteJobResult> Runs = sim::runSuite(Jobs);
   for (const sim::SuiteJobResult &Run : Runs)
@@ -736,29 +724,14 @@ om64::om::runDifferential(const std::vector<ObjectFile> &Objects,
 
   DifferentialReport Report;
   for (size_t I = 0; I < NLegs; ++I) {
-    const sim::SimResult &Th = Runs[2 * I].Result;
-    const sim::SimResult &Sw = Runs[2 * I + 1].Result;
-    const char *Field = Th.ExitCode != Sw.ExitCode ? "exit code"
-                        : Th.Output != Sw.Output   ? "output"
-                        : Th.FinalData != Sw.FinalData ? "final memory"
-                        : Th.Instructions != Sw.Instructions
-                            ? "instruction count"
-                        : Th.ClassCounts != Sw.ClassCounts
-                            ? "class histogram"
-                        : Th.Nops != Sw.Nops ? "nop count"
-                                             : nullptr;
-    if (Field)
-      return Result<DifferentialReport>::failure(
-          "dispatch mismatch: " + legName(Cfgs[I]) +
-          ": threaded and switch dispatch disagree on " + Field);
-
+    const sim::SimResult &Run = Runs[I].Result;
     DifferentialLeg Leg;
     Leg.Level = Cfgs[I].Level;
     Leg.Sched = Cfgs[I].Sched;
-    Leg.ExitCode = Th.ExitCode;
-    Leg.Output = Th.Output;
-    Leg.MemoryHash = canonicalMemoryHash(Linked[I].Image, Th.FinalData);
-    Leg.Instructions = Th.Instructions;
+    Leg.ExitCode = Run.ExitCode;
+    Leg.Output = Run.Output;
+    Leg.MemoryHash = canonicalMemoryHash(Linked[I].Image, Run.FinalData);
+    Leg.Instructions = Run.Instructions;
     Report.Legs.push_back(std::move(Leg));
   }
 

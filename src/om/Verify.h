@@ -140,12 +140,7 @@ uint64_t canonicalMemoryHash(const obj::Image &Img,
 /// each image on the functional simulator, and fails unless every leg
 /// reproduces the None leg's exit code, output, and canonical memory hash.
 ///
-/// Every leg executes under BOTH dispatch mechanisms (computed goto and
-/// the portable switch, concurrently via sim::runSuite) and the harness
-/// additionally fails if the two disagree on any leg's exit code, output,
-/// final memory, instruction count, or class histogram — so each
-/// differential run is also a dispatch-parity proof. The cross-level
-/// comparison uses the computed-goto results.
+/// The four legs run concurrently, one sim::runSuite job each.
 Result<DifferentialReport>
 runDifferential(const std::vector<obj::ObjectFile> &Objects,
                 const OmOptions &Base = OmOptions());

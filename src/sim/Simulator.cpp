@@ -23,13 +23,9 @@ using namespace om64::sim;
 using namespace om64::isa;
 using namespace om64::obj;
 
-// The computed-goto dispatch needs the GNU/Clang `&&label` extension;
-// elsewhere DispatchMode::Threaded runs the same handlers through the
-// portable switch dispatch.
-#if defined(__GNUC__) || defined(__clang__)
-#define OM64_SIM_THREADED_DISPATCH 1
-#else
-#define OM64_SIM_THREADED_DISPATCH 0
+// The core dispatches by computed goto, the GNU/Clang `&&label` extension.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the simulator core needs the GNU/Clang labels-as-values extension"
 #endif
 
 namespace {
@@ -166,8 +162,7 @@ constexpr uint8_t ThSink = 32;
 ///     were split from the register forms at translation precisely so each
 ///     reads the field one way unconditionally.
 struct ThInst {
-  /// The handler's label address under computed-goto dispatch; the
-  /// handler id (a ThHandler) under switch dispatch.
+  /// The handler's label address in the running core instantiation.
   const void *H;
   int32_t Disp; // branches: the resolved target index instead
   uint8_t A;    // Ra as a read index (int file; fp file for fp handlers)
@@ -495,20 +490,15 @@ public:
   Result<SimResult> run();
 
 private:
-  /// Runs the core instantiation for the configured dispatch mechanism.
-  template <bool Timing, bool Prof> Result<SimResult> runMode();
-
   /// The interpreter: one definition of every handler, instantiated per
-  /// mode. Timing adds the pipeline's cache accesses and block ends, Prof
-  /// the profile hook, and Threaded selects computed-goto dispatch over
-  /// the switch on handler ids.
-  template <bool Timing, bool Prof, bool Threaded>
-  Result<SimResult> runCore();
+  /// mode. Timing adds the pipeline's cache accesses and block ends, and
+  /// Prof the profile hook.
+  template <bool Timing, bool Prof> Result<SimResult> runCore();
 
   /// Decodes the whole text segment straight into the ThInst array (and,
   /// for timing or profiled runs, the InstMeta array and the profiling
   /// side tables) in one pass; fails on the first undecodable word.
-  /// \p Lab maps handler ids to the ThInst::H values of the running core.
+  /// \p Lab maps handler ids to the running core's handler labels.
   /// Also sizes the profile-counter vector from the counters the image
   /// actually declares, bounding CALL_PAL count's reach up front.
   Error predecode(const void *const *Lab);
@@ -837,11 +827,9 @@ bool Machine::store(uint64_t Addr, unsigned Size, uint64_t Value) {
 // predecode translates every instruction once into { handler, resolved
 // operands }, and every handler below ends in its own dispatch:
 //
-//   * under DispatchMode::Threaded the dispatch is `goto *PP->H` — one
-//     indirect jump *per handler copy*, giving the host predictor per-opcode
-//     history (the classic token-threading win); under DispatchMode::Switch
-//     (and on compilers without `&&label`) the same bodies sit under the
-//     case labels of a switch on the handler id, CPython-ceval style;
+//   * the dispatch is `goto *PP->H` — one indirect jump *per handler
+//     copy*, giving the host predictor per-opcode history (the classic
+//     token-threading win);
 //   * the register files grow a 33rd slot that absorbs writes to the
 //     hardwired zero registers, so handlers write unconditionally, and
 //     integer operates are split into register/literal handlers;
@@ -859,24 +847,14 @@ bool Machine::store(uint64_t Addr, unsigned Size, uint64_t Value) {
 // checking.
 //===----------------------------------------------------------------------===//
 
-template <bool Timing, bool Prof, bool Threaded>
-Result<SimResult> Machine::runCore() {
-  // ThInst::H values, indexed by handler id: label addresses for
-  // computed-goto dispatch, the ids themselves for switch dispatch.
-  const void *Lab[NumThHandlers];
-  for (unsigned H = 0; H < NumThHandlers; ++H)
-    Lab[H] = reinterpret_cast<const void *>(static_cast<uintptr_t>(H));
-#if OM64_SIM_THREADED_DISPATCH
-  if constexpr (Threaded) {
+template <bool Timing, bool Prof> Result<SimResult> Machine::runCore() {
+  // ThInst::H values: each handler's label, indexed by handler id.
 #define OM64_SIM_LABEL_ONE(N) &&L_##N,
 #define OM64_SIM_LABEL_PAIR(N) &&L_##N##R, &&L_##N##L,
-    const void *const Labels[NumThHandlers] = {OM64_SIM_HANDLERS(
-        OM64_SIM_LABEL_ONE, OM64_SIM_LABEL_PAIR, OM64_SIM_LABEL_ONE)};
+  const void *const Lab[NumThHandlers] = {OM64_SIM_HANDLERS(
+      OM64_SIM_LABEL_ONE, OM64_SIM_LABEL_PAIR, OM64_SIM_LABEL_ONE)};
 #undef OM64_SIM_LABEL_ONE
 #undef OM64_SIM_LABEL_PAIR
-    std::copy(Labels, Labels + NumThHandlers, Lab);
-  }
-#endif
   if (Error E = predecode(Lab))
     return Result<SimResult>::failure(E.message());
 
@@ -964,23 +942,9 @@ Result<SimResult> Machine::runCore() {
   Pipeline Pipe(Cfg, Meta.data(), TextBase, N,
                 static_cast<uint32_t>(PP - PB));
 
-// A handler: its switch case, plus its label under computed goto.
-#if OM64_SIM_THREADED_DISPATCH
-#define OM64_TH_TARGET(NAME)                                               \
-  case TH_##NAME:                                                          \
-  L_##NAME:                                                                \
-  __attribute__((unused));
-#define OM64_TH_GOTO(H)                                                    \
-  do {                                                                     \
-    if constexpr (Threaded)                                                \
-      goto *(H);                                                           \
-    else                                                                   \
-      goto L_Dispatch;                                                     \
-  } while (0)
-#else
-#define OM64_TH_TARGET(NAME) case TH_##NAME:
-#define OM64_TH_GOTO(H) goto L_Dispatch
-#endif
+// A handler's label, and the dispatch to a handler.
+#define OM64_TH_TARGET(NAME) L_##NAME:
+#define OM64_TH_GOTO(H) goto *(H)
 #define OM64_TH_PC() (TextBase + static_cast<uint64_t>(PP - PB) * 4)
 // Handler entry: the fuel check (so the sentinel and fault labels, which
 // skip it, keep the budget test after a fall-off-the-end check).
@@ -1093,205 +1057,196 @@ Result<SimResult> Machine::runCore() {
     OM64_TH_NEXT();                                                        \
   }
 
-#if OM64_SIM_THREADED_DISPATCH
-  if constexpr (Threaded)
-    goto *PP->H;
-#endif
-L_Dispatch:
-#if OM64_SIM_THREADED_DISPATCH
-  __attribute__((unused));
-#endif
-  switch (reinterpret_cast<uintptr_t>(PP->H)) {
-    OM64_TH_TARGET(Nop) {
-      OM64_TH_ENTER();
-      ++NNops;
-      ++Cls[PP->Cls];
-      OM64_TH_NEXT();
-    }
+  OM64_TH_GOTO(PP->H);
 
-    OM64_TH_TARGET(PalHalt) {
-      OM64_TH_ENTER();
-      ++Cls[ClsPal];
-      Res.ExitCode = R[A0];
-      OM64_TH_RETIRE(OM64_TH_PC() + 4, false);
-      if constexpr (Timing)
-        Pipe.flush(PP - PB + 1);
-      goto L_Halt;
-    }
-    OM64_TH_TARGET(PalPutChar) {
-      OM64_TH_ENTER();
-      ++Cls[ClsPal];
-      Res.Output.push_back(static_cast<char>(R[A0] & 0xFF));
-      OM64_TH_NEXT();
-    }
-    OM64_TH_TARGET(PalPutInt) {
-      OM64_TH_ENTER();
-      ++Cls[ClsPal];
-      Res.Output += formatString("%lld", static_cast<long long>(R[A0]));
-      OM64_TH_NEXT();
-    }
-    OM64_TH_TARGET(PalPutReal) {
-      OM64_TH_ENTER();
-      ++Cls[ClsPal];
-      Res.Output += formatString("%.6g", F[FA0]);
-      OM64_TH_NEXT();
-    }
-    OM64_TH_TARGET(PalCycle) {
-      OM64_TH_ENTER();
-      ++Cls[ClsPal];
-      // Timing runs report the cycle count as of the previous retirement,
-      // so the block so far is issued first; functional runs report the
-      // instructions executed before this one.
-      if constexpr (Timing) {
-        Pipe.flush(PP - PB);
-        R[V0] = static_cast<int64_t>(Pipe.Cycle);
-      } else
-        R[V0] = static_cast<int64_t>(MaxInsts - Fuel);
-      OM64_TH_NEXT();
-    }
-    OM64_TH_TARGET(PalCount) {
-      OM64_TH_ENTER();
-      ++Cls[ClsPal];
-      const uint32_t Index = static_cast<uint32_t>(PP->Disp) >> 8;
-      // Predecode sized ProfileCounts to the image's declared counter
-      // count, so in-bounds is guaranteed for decoded text; the check
-      // stays as defense in depth against future divergence.
-      if (Index >= Res.ProfileCounts.size()) {
-        FaultMsg = formatString(
-            "profile counter %u out of range (image declares %u)", Index,
-            static_cast<unsigned>(Res.ProfileCounts.size()));
-        goto L_Fault;
-      }
-      ++Res.ProfileCounts[Index];
-      OM64_TH_NEXT();
-    }
-    OM64_TH_TARGET(PalUnknown) {
-      OM64_TH_ENTER();
-      FaultMsg = formatString("unknown PAL function %d", PP->Disp);
+  OM64_TH_TARGET(Nop) {
+    OM64_TH_ENTER();
+    ++NNops;
+    ++Cls[PP->Cls];
+    OM64_TH_NEXT();
+  }
+
+  OM64_TH_TARGET(PalHalt) {
+    OM64_TH_ENTER();
+    ++Cls[ClsPal];
+    Res.ExitCode = R[A0];
+    OM64_TH_RETIRE(OM64_TH_PC() + 4, false);
+    if constexpr (Timing)
+      Pipe.flush(PP - PB + 1);
+    goto L_Halt;
+  }
+  OM64_TH_TARGET(PalPutChar) {
+    OM64_TH_ENTER();
+    ++Cls[ClsPal];
+    Res.Output.push_back(static_cast<char>(R[A0] & 0xFF));
+    OM64_TH_NEXT();
+  }
+  OM64_TH_TARGET(PalPutInt) {
+    OM64_TH_ENTER();
+    ++Cls[ClsPal];
+    Res.Output += formatString("%lld", static_cast<long long>(R[A0]));
+    OM64_TH_NEXT();
+  }
+  OM64_TH_TARGET(PalPutReal) {
+    OM64_TH_ENTER();
+    ++Cls[ClsPal];
+    Res.Output += formatString("%.6g", F[FA0]);
+    OM64_TH_NEXT();
+  }
+  OM64_TH_TARGET(PalCycle) {
+    OM64_TH_ENTER();
+    ++Cls[ClsPal];
+    // Timing runs report the cycle count as of the previous retirement,
+    // so the block so far is issued first; functional runs report the
+    // instructions executed before this one.
+    if constexpr (Timing) {
+      Pipe.flush(PP - PB);
+      R[V0] = static_cast<int64_t>(Pipe.Cycle);
+    } else
+      R[V0] = static_cast<int64_t>(MaxInsts - Fuel);
+    OM64_TH_NEXT();
+  }
+  OM64_TH_TARGET(PalCount) {
+    OM64_TH_ENTER();
+    ++Cls[ClsPal];
+    const uint32_t Index = static_cast<uint32_t>(PP->Disp) >> 8;
+    // Predecode sized ProfileCounts to the image's declared counter
+    // count, so in-bounds is guaranteed for decoded text; the check
+    // stays as defense in depth against future divergence.
+    if (Index >= Res.ProfileCounts.size()) {
+      FaultMsg = formatString(
+          "profile counter %u out of range (image declares %u)", Index,
+          static_cast<unsigned>(Res.ProfileCounts.size()));
       goto L_Fault;
     }
-
-    OM64_TH_TARGET(Lda) {
-      OM64_TH_ENTER();
-      ++Cls[ClsLoadAddress];
-      R[PP->W] = wrapAdd(R[PP->B], PP->Disp);
-      OM64_TH_NEXT();
-    }
-    OM64_TH_TARGET(Ldah) {
-      OM64_TH_ENTER();
-      ++Cls[ClsLoadAddress];
-      R[PP->W] = wrapAdd(R[PP->B], static_cast<int64_t>(PP->Disp) * 65536);
-      OM64_TH_NEXT();
-    }
-
-    OM64_TH_LOAD(Ldl, ClsIntLoad, 4,
-                 R[PP->W] = static_cast<int32_t>(static_cast<uint32_t>(V)))
-    OM64_TH_LOAD(Ldq, ClsIntLoad, 8, R[PP->W] = static_cast<int64_t>(V))
-    OM64_TH_LOAD(Ldt, ClsFpLoad, 8, std::memcpy(&F[PP->W], &V, 8))
-    OM64_TH_STORE(Stl, ClsIntStore, 4,
-                  V = static_cast<uint64_t>(R[PP->A]) & 0xFFFFFFFFull)
-    OM64_TH_STORE(Stq, ClsIntStore, 8, V = static_cast<uint64_t>(R[PP->A]))
-    OM64_TH_STORE(Stt, ClsFpStore, 8, std::memcpy(&V, &F[PP->A], 8))
-
-    OM64_TH_TARGET(Jmp)
-    OM64_TH_TARGET(Jsr)
-    OM64_TH_TARGET(Ret) {
-      OM64_TH_ENTER();
-      ++Cls[ClsJump];
-      ++NTaken;
-      // Target reads Rb before the return-address write (jsr ra,(ra) is
-      // legal).
-      const uint64_t Pc = OM64_TH_PC();
-      const uint64_t Target = static_cast<uint64_t>(R[PP->B]) & ~3ull;
-      const uint64_t TI = (Target - TextBase) / 4;
-      R[PP->W] = static_cast<int64_t>(Pc + 4);
-      OM64_TH_RETIRE(Target, Target != Pc + 4);
-      OM64_TH_END_BLOCK(Target != Pc + 4, TI);
-      if (Target == Layout::HaltReturnAddress) {
-        Res.ExitCode = R[V0];
-        goto L_Halt;
-      }
-      if (Target < TextBase || TI >= N)
-        return pcFault(Target);
-      PP = PB + TI;
-      OM64_TH_GOTO(PP->H);
-    }
-
-    OM64_TH_TARGET(Br)
-    OM64_TH_TARGET(Bsr) {
-      OM64_TH_ENTER();
-      ++Cls[ClsBranch];
-      R[PP->W] = static_cast<int64_t>(OM64_TH_PC() + 4);
-      OM64_TH_TAKEN(PP->Disp);
-    }
-
-    OM64_TH_CONDBR(Beq, R, ==)
-    OM64_TH_CONDBR(Bne, R, !=)
-    OM64_TH_CONDBR(Blt, R, <)
-    OM64_TH_CONDBR(Ble, R, <=)
-    OM64_TH_CONDBR(Bgt, R, >)
-    OM64_TH_CONDBR(Bge, R, >=)
-    OM64_TH_CONDBR(Fbeq, F, ==)
-    OM64_TH_CONDBR(Fbne, F, !=)
-
-    OM64_TH_INTOP(Addq, static_cast<int64_t>(static_cast<uint64_t>(A) +
-                                             static_cast<uint64_t>(B)))
-    OM64_TH_INTOP(Subq, static_cast<int64_t>(static_cast<uint64_t>(A) -
-                                             static_cast<uint64_t>(B)))
-    OM64_TH_INTOP(Mulq, static_cast<int64_t>(static_cast<uint64_t>(A) *
-                                             static_cast<uint64_t>(B)))
-    OM64_TH_INTOP(S4addq,
-                  static_cast<int64_t>((static_cast<uint64_t>(A) << 2) +
-                                       static_cast<uint64_t>(B)))
-    OM64_TH_INTOP(S8addq,
-                  static_cast<int64_t>((static_cast<uint64_t>(A) << 3) +
-                                       static_cast<uint64_t>(B)))
-    OM64_TH_INTOP(Cmpeq, A == B ? 1 : 0)
-    OM64_TH_INTOP(Cmplt, A < B ? 1 : 0)
-    OM64_TH_INTOP(Cmple, A <= B ? 1 : 0)
-    OM64_TH_INTOP(Cmpult,
-                  static_cast<uint64_t>(A) < static_cast<uint64_t>(B) ? 1 : 0)
-    OM64_TH_INTOP(And, A &B)
-    OM64_TH_INTOP(Bic, A & ~B)
-    OM64_TH_INTOP(Bis, A | B)
-    OM64_TH_INTOP(Ornot, A | ~B)
-    OM64_TH_INTOP(Xor, A ^ B)
-    OM64_TH_INTOP(Sll, static_cast<int64_t>(static_cast<uint64_t>(A)
-                                            << (B & 63)))
-    OM64_TH_INTOP(Srl,
-                  static_cast<int64_t>(static_cast<uint64_t>(A) >> (B & 63)))
-    OM64_TH_INTOP(Sra, A >> (B & 63))
-
-    OM64_TH_FPOP(Addt, A + B)
-    OM64_TH_FPOP(Subt, A - B)
-    OM64_TH_FPOP(Mult, A *B)
-    OM64_TH_FPOP(Divt, A / B)
-    OM64_TH_FPOP(Cmpteq, A == B ? 2.0 : 0.0)
-    OM64_TH_FPOP(Cmptlt, A < B ? 2.0 : 0.0)
-    OM64_TH_FPOP(Cmptle, A <= B ? 2.0 : 0.0)
-    OM64_TH_FPOP(Cpys, std::copysign(B, A))
-    OM64_TH_FPOP(Cvtqt, static_cast<double>(std::bit_cast<int64_t>(B)))
-    OM64_TH_FPOP(Cvttq, std::bit_cast<double>(truncToInt64(B)))
-
-    OM64_TH_TARGET(Itoft) {
-      OM64_TH_ENTER();
-      ++Cls[ClsTransfer];
-      F[PP->W] = std::bit_cast<double>(R[PP->A]);
-      OM64_TH_NEXT();
-    }
-    OM64_TH_TARGET(Ftoit) {
-      OM64_TH_ENTER();
-      ++Cls[ClsTransfer];
-      R[PP->W] = std::bit_cast<int64_t>(F[PP->A]);
-      OM64_TH_NEXT();
-    }
-
-    // Sequential fall-through past the last instruction, checked before
-    // the next budget test. (No other id reaches the default.)
-    OM64_TH_TARGET(OffEnd)
-    default:
-      return pcFault(TextBase + N * 4);
+    ++Res.ProfileCounts[Index];
+    OM64_TH_NEXT();
   }
+  OM64_TH_TARGET(PalUnknown) {
+    OM64_TH_ENTER();
+    FaultMsg = formatString("unknown PAL function %d", PP->Disp);
+    goto L_Fault;
+  }
+
+  OM64_TH_TARGET(Lda) {
+    OM64_TH_ENTER();
+    ++Cls[ClsLoadAddress];
+    R[PP->W] = wrapAdd(R[PP->B], PP->Disp);
+    OM64_TH_NEXT();
+  }
+  OM64_TH_TARGET(Ldah) {
+    OM64_TH_ENTER();
+    ++Cls[ClsLoadAddress];
+    R[PP->W] = wrapAdd(R[PP->B], static_cast<int64_t>(PP->Disp) * 65536);
+    OM64_TH_NEXT();
+  }
+
+  OM64_TH_LOAD(Ldl, ClsIntLoad, 4,
+               R[PP->W] = static_cast<int32_t>(static_cast<uint32_t>(V)))
+  OM64_TH_LOAD(Ldq, ClsIntLoad, 8, R[PP->W] = static_cast<int64_t>(V))
+  OM64_TH_LOAD(Ldt, ClsFpLoad, 8, std::memcpy(&F[PP->W], &V, 8))
+  OM64_TH_STORE(Stl, ClsIntStore, 4,
+                V = static_cast<uint64_t>(R[PP->A]) & 0xFFFFFFFFull)
+  OM64_TH_STORE(Stq, ClsIntStore, 8, V = static_cast<uint64_t>(R[PP->A]))
+  OM64_TH_STORE(Stt, ClsFpStore, 8, std::memcpy(&V, &F[PP->A], 8))
+
+  OM64_TH_TARGET(Jmp)
+  OM64_TH_TARGET(Jsr)
+  OM64_TH_TARGET(Ret) {
+    OM64_TH_ENTER();
+    ++Cls[ClsJump];
+    ++NTaken;
+    // Target reads Rb before the return-address write (jsr ra,(ra) is
+    // legal).
+    const uint64_t Pc = OM64_TH_PC();
+    const uint64_t Target = static_cast<uint64_t>(R[PP->B]) & ~3ull;
+    const uint64_t TI = (Target - TextBase) / 4;
+    R[PP->W] = static_cast<int64_t>(Pc + 4);
+    OM64_TH_RETIRE(Target, Target != Pc + 4);
+    OM64_TH_END_BLOCK(Target != Pc + 4, TI);
+    if (Target == Layout::HaltReturnAddress) {
+      Res.ExitCode = R[V0];
+      goto L_Halt;
+    }
+    if (Target < TextBase || TI >= N)
+      return pcFault(Target);
+    PP = PB + TI;
+    OM64_TH_GOTO(PP->H);
+  }
+
+  OM64_TH_TARGET(Br)
+  OM64_TH_TARGET(Bsr) {
+    OM64_TH_ENTER();
+    ++Cls[ClsBranch];
+    R[PP->W] = static_cast<int64_t>(OM64_TH_PC() + 4);
+    OM64_TH_TAKEN(PP->Disp);
+  }
+
+  OM64_TH_CONDBR(Beq, R, ==)
+  OM64_TH_CONDBR(Bne, R, !=)
+  OM64_TH_CONDBR(Blt, R, <)
+  OM64_TH_CONDBR(Ble, R, <=)
+  OM64_TH_CONDBR(Bgt, R, >)
+  OM64_TH_CONDBR(Bge, R, >=)
+  OM64_TH_CONDBR(Fbeq, F, ==)
+  OM64_TH_CONDBR(Fbne, F, !=)
+
+  OM64_TH_INTOP(Addq, static_cast<int64_t>(static_cast<uint64_t>(A) +
+                                           static_cast<uint64_t>(B)))
+  OM64_TH_INTOP(Subq, static_cast<int64_t>(static_cast<uint64_t>(A) -
+                                           static_cast<uint64_t>(B)))
+  OM64_TH_INTOP(Mulq, static_cast<int64_t>(static_cast<uint64_t>(A) *
+                                           static_cast<uint64_t>(B)))
+  OM64_TH_INTOP(S4addq,
+                static_cast<int64_t>((static_cast<uint64_t>(A) << 2) +
+                                     static_cast<uint64_t>(B)))
+  OM64_TH_INTOP(S8addq,
+                static_cast<int64_t>((static_cast<uint64_t>(A) << 3) +
+                                     static_cast<uint64_t>(B)))
+  OM64_TH_INTOP(Cmpeq, A == B ? 1 : 0)
+  OM64_TH_INTOP(Cmplt, A < B ? 1 : 0)
+  OM64_TH_INTOP(Cmple, A <= B ? 1 : 0)
+  OM64_TH_INTOP(Cmpult,
+                static_cast<uint64_t>(A) < static_cast<uint64_t>(B) ? 1 : 0)
+  OM64_TH_INTOP(And, A &B)
+  OM64_TH_INTOP(Bic, A & ~B)
+  OM64_TH_INTOP(Bis, A | B)
+  OM64_TH_INTOP(Ornot, A | ~B)
+  OM64_TH_INTOP(Xor, A ^ B)
+  OM64_TH_INTOP(Sll, static_cast<int64_t>(static_cast<uint64_t>(A)
+                                          << (B & 63)))
+  OM64_TH_INTOP(Srl,
+                static_cast<int64_t>(static_cast<uint64_t>(A) >> (B & 63)))
+  OM64_TH_INTOP(Sra, A >> (B & 63))
+
+  OM64_TH_FPOP(Addt, A + B)
+  OM64_TH_FPOP(Subt, A - B)
+  OM64_TH_FPOP(Mult, A *B)
+  OM64_TH_FPOP(Divt, A / B)
+  OM64_TH_FPOP(Cmpteq, A == B ? 2.0 : 0.0)
+  OM64_TH_FPOP(Cmptlt, A < B ? 2.0 : 0.0)
+  OM64_TH_FPOP(Cmptle, A <= B ? 2.0 : 0.0)
+  OM64_TH_FPOP(Cpys, std::copysign(B, A))
+  OM64_TH_FPOP(Cvtqt, static_cast<double>(std::bit_cast<int64_t>(B)))
+  OM64_TH_FPOP(Cvttq, std::bit_cast<double>(truncToInt64(B)))
+
+  OM64_TH_TARGET(Itoft) {
+    OM64_TH_ENTER();
+    ++Cls[ClsTransfer];
+    F[PP->W] = std::bit_cast<double>(R[PP->A]);
+    OM64_TH_NEXT();
+  }
+  OM64_TH_TARGET(Ftoit) {
+    OM64_TH_ENTER();
+    ++Cls[ClsTransfer];
+    R[PP->W] = std::bit_cast<int64_t>(F[PP->A]);
+    OM64_TH_NEXT();
+  }
+
+  // Sequential fall-through past the last instruction, checked before
+  // the next budget test.
+  OM64_TH_TARGET(OffEnd)
+  return pcFault(TextBase + N * 4);
 
 L_Budget:
   return budgetFault();
@@ -1350,18 +1305,10 @@ L_Halt:
 #undef OM64_TH_STORE
 }
 
-template <bool Timing, bool Prof> Result<SimResult> Machine::runMode() {
-#if OM64_SIM_THREADED_DISPATCH
-  if (Cfg.Dispatch == DispatchMode::Threaded)
-    return runCore<Timing, Prof, true>();
-#endif
-  return runCore<Timing, Prof, false>();
-}
-
 Result<SimResult> Machine::run() {
   if (Cfg.Timing)
-    return Cfg.Profile ? runMode<true, true>() : runMode<true, false>();
-  return Cfg.Profile ? runMode<false, true>() : runMode<false, false>();
+    return Cfg.Profile ? runCore<true, true>() : runCore<true, false>();
+  return Cfg.Profile ? runCore<false, true>() : runCore<false, false>();
 }
 
 /// Rejects address-space layouts the core cannot represent, before any

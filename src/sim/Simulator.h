@@ -19,7 +19,9 @@
 /// Both modes, with or without profile collection, run one interpreter:
 /// the text is decoded once at startup into a dense array of translated
 /// instructions, and a single table of per-opcode handlers (each opcode's
-/// semantics written once) is instantiated per mode. The timing model and
+/// semantics written once) is instantiated per mode. Each handler ends in
+/// its own computed goto to the next instruction's handler (the GNU/Clang
+/// `&&label` extension, which the build requires). The timing model and
 /// the profiler hook into the handlers at compile time, so the functional
 /// instantiation never pays for them and no mode pays for per-instruction
 /// decode. The timing model issues a basic block at a time and memoizes
@@ -56,23 +58,6 @@ struct CacheConfig {
   unsigned MissPenalty = 20;
 };
 
-/// How the interpreter moves from one handler to the next. Both mechanisms
-/// run the same handler bodies, in every mode (functional, timing,
-/// profiled):
-///
-///   * Threaded: computed-goto dispatch. Each handler ends in its own
-///     `goto *` to the next instruction's handler address, so the host
-///     branch predictor sees per-opcode history. On compilers without the
-///     `&&label` extension it silently uses the switch dispatch — results
-///     are identical either way.
-///   * Switch: the portable dispatch, one `switch` on the handler id.
-///
-/// Both stay selectable (aaxrun --dispatch=switch|threaded) so they can be
-/// differenced against each other: om::runDifferential runs every leg on
-/// both and demands identical results, and sim_test's parity sweep covers
-/// every opcode class and fault path in every mode.
-enum class DispatchMode : uint8_t { Threaded, Switch };
-
 /// Simulation options.
 struct SimConfig {
   bool Timing = true;
@@ -87,8 +72,6 @@ struct SimConfig {
   /// separate instantiations of the interpreter, so runs with Profile off
   /// pay nothing.
   bool Profile = false;
-  /// Dispatch mechanism (see DispatchMode), in every mode.
-  DispatchMode Dispatch = DispatchMode::Threaded;
 };
 
 /// Outcome of a run.

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <optional>
 
@@ -34,35 +35,31 @@ const SimMode AllModes[] = {{"functional", false, false},
                             {"timing", true, false},
                             {"profiled", false, true},
                             {"timing-profiled", true, true}};
-const sim::DispatchMode AllDispatches[] = {sim::DispatchMode::Threaded,
-                                           sim::DispatchMode::Switch};
 
-sim::SimConfig coreConfig(sim::DispatchMode Dispatch, uint64_t MaxInsts,
+sim::SimConfig coreConfig(uint64_t MaxInsts,
                           const SimMode &Mode = AllModes[0]) {
   sim::SimConfig Cfg;
   Cfg.Timing = Mode.Timing;
   Cfg.Profile = Mode.Profile;
-  Cfg.Dispatch = Dispatch;
   Cfg.MaxInstructions = MaxInsts;
   return Cfg;
 }
 
 /// Runs raw code that leaves its result in v0 and halts by returning, in
-/// every mode on both dispatch mechanisms; they must all agree.
+/// every mode; they must all agree.
 int64_t runForV0(std::vector<Inst> Code) {
   Code.push_back(makeJump(Opcode::Ret, Zero, RA));
   obj::Image Img = makeRawImage(Code);
   std::optional<int64_t> V0;
-  for (const SimMode &M : AllModes)
-    for (sim::DispatchMode D : AllDispatches) {
-      Result<sim::SimResult> R = sim::run(Img, coreConfig(D, 1u << 20, M));
-      EXPECT_TRUE(bool(R)) << M.Name << ": " << (R ? "" : R.message());
-      if (!R)
-        return -999;
-      if (!V0)
-        V0 = R->ExitCode;
-      EXPECT_EQ(R->ExitCode, *V0) << M.Name;
-    }
+  for (const SimMode &M : AllModes) {
+    Result<sim::SimResult> R = sim::run(Img, coreConfig(1u << 20, M));
+    EXPECT_TRUE(bool(R)) << M.Name << ": " << (R ? "" : R.message());
+    if (!R)
+      return -999;
+    if (!V0)
+      V0 = R->ExitCode;
+    EXPECT_EQ(R->ExitCode, *V0) << M.Name;
+  }
   return *V0;
 }
 
@@ -659,8 +656,8 @@ TEST(SimTest, MisalignedEntryIsRejected) {
 
 TEST(SimTest, HostileLayoutsAreRejectedBeforeAllocation) {
   // Layouts the core's address arithmetic cannot represent end with a
-  // diagnostic in every mode and dispatch, before any segment is
-  // allocated: no bad_alloc, no aliasing fast path, no runaway.
+  // diagnostic in every mode, before any segment is allocated: no
+  // bad_alloc, no aliasing fast path, no runaway.
   struct Case {
     const char *Name;
     void (*Mutate)(obj::Image &);
@@ -695,16 +692,14 @@ TEST(SimTest, HostileLayoutsAreRejectedBeforeAllocation) {
   for (const Case &C : Cases) {
     obj::Image Img = makeRawImage(Code);
     C.Mutate(Img);
-    for (const SimMode &M : AllModes)
-      for (sim::DispatchMode D : AllDispatches) {
-        Result<sim::SimResult> R =
-            sim::run(Img, coreConfig(D, 1u << 20, M));
-        ASSERT_FALSE(bool(R)) << C.Name << "/" << M.Name;
-        EXPECT_NE(R.message().find("bad image layout"), std::string::npos)
-            << C.Name << ": " << R.message();
-        EXPECT_NE(R.message().find(C.MustMention), std::string::npos)
-            << C.Name << ": " << R.message();
-      }
+    for (const SimMode &M : AllModes) {
+      Result<sim::SimResult> R = sim::run(Img, coreConfig(1u << 20, M));
+      ASSERT_FALSE(bool(R)) << C.Name << "/" << M.Name;
+      EXPECT_NE(R.message().find("bad image layout"), std::string::npos)
+          << C.Name << ": " << R.message();
+      EXPECT_NE(R.message().find(C.MustMention), std::string::npos)
+          << C.Name << ": " << R.message();
+    }
   }
 }
 
@@ -778,10 +773,11 @@ TEST(SimTest, FunctionalModeReportsNoCycles) {
 }
 
 //===----------------------------------------------------------------------===//
-// Dispatch parity: computed-goto dispatch versus the switch on handler ids.
-// Both run the same handler bodies; every opcode class and every fault path
-// must produce a bit-identical SimResult (or an identical fault message) in
-// every mode.
+// Pinned core results: the all-class program's whole SimResult, every fault
+// path's exact message and every integer operate's edge-operand results, in
+// every mode. The rows were recorded while the simulator still ran a second
+// (switch) dispatch that agreed with computed goto on all of them, so they
+// keep that cross-check's coverage.
 //===----------------------------------------------------------------------===//
 
 /// \p Code as a raw image with one procedure spanning the text, so
@@ -796,41 +792,29 @@ obj::Image rawImageWithProc(const std::vector<Inst> &Code) {
   return Img;
 }
 
-/// Runs \p Img in \p Mode under both dispatch mechanisms and demands
-/// identical results. Returns the threaded result when both runs succeeded.
-std::optional<sim::SimResult>
-expectDispatchParity(const obj::Image &Img, const std::string &Name,
-                     const SimMode &Mode, uint64_t MaxInsts = 1u << 20) {
-  const std::string What = Name + "/" + Mode.Name;
-  Result<sim::SimResult> T =
-      sim::run(Img, coreConfig(sim::DispatchMode::Threaded, MaxInsts, Mode));
-  Result<sim::SimResult> S =
-      sim::run(Img, coreConfig(sim::DispatchMode::Switch, MaxInsts, Mode));
-  EXPECT_EQ(bool(T), bool(S))
-      << What << ": one dispatch faulted and the other did not: "
-      << (T ? S.message() : T.message());
-  if (!T || !S) {
-    if (!T && !S) {
-      EXPECT_EQ(T.message(), S.message()) << What;
-    }
-    return std::nullopt;
-  }
-  EXPECT_EQ(T->ExitCode, S->ExitCode) << What;
-  EXPECT_EQ(T->Output, S->Output) << What;
-  EXPECT_EQ(T->Instructions, S->Instructions) << What;
-  EXPECT_EQ(T->Nops, S->Nops) << What;
-  EXPECT_EQ(T->Loads, S->Loads) << What;
-  EXPECT_EQ(T->Stores, S->Stores) << What;
-  EXPECT_EQ(T->TakenBranches, S->TakenBranches) << What;
-  EXPECT_EQ(T->Cycles, S->Cycles) << What;
-  EXPECT_EQ(T->DualIssuePairs, S->DualIssuePairs) << What;
-  EXPECT_EQ(T->ICacheMisses, S->ICacheMisses) << What;
-  EXPECT_EQ(T->DCacheMisses, S->DCacheMisses) << What;
-  EXPECT_EQ(T->ClassCounts, S->ClassCounts) << What;
-  EXPECT_EQ(T->FinalData, S->FinalData) << What;
-  EXPECT_EQ(T->ProfileCounts, S->ProfileCounts) << What;
-  EXPECT_EQ(T->Profile.serialize(), S->Profile.serialize()) << What;
-  return *T;
+/// Every field of \p R but HostSeconds, as one row: the counters in
+/// full, the output stream verbatim, and the final data and profile as
+/// content hashes.
+std::string resultRow(const sim::SimResult &R) {
+  std::string S = formatString(
+      "exit=%lld out='%s' insts=%llu nops=%llu loads=%llu stores=%llu "
+      "taken=%llu cycles=%llu pairs=%llu imiss=%llu dmiss=%llu "
+      "blocks=%llu/%llu classes=",
+      (long long)R.ExitCode, R.Output.c_str(),
+      (unsigned long long)R.Instructions, (unsigned long long)R.Nops,
+      (unsigned long long)R.Loads, (unsigned long long)R.Stores,
+      (unsigned long long)R.TakenBranches, (unsigned long long)R.Cycles,
+      (unsigned long long)R.DualIssuePairs,
+      (unsigned long long)R.ICacheMisses, (unsigned long long)R.DCacheMisses,
+      (unsigned long long)R.BlocksEnded, (unsigned long long)R.BlocksMemoized);
+  for (uint64_t N : R.ClassCounts)
+    S += formatString("%llu,", (unsigned long long)N);
+  S += " counts=";
+  for (uint64_t N : R.ProfileCounts)
+    S += formatString("%llu,", (unsigned long long)N);
+  return S + formatString(" profile=0x%016llx data=0x%016llx",
+                          (unsigned long long)hashBytes(R.Profile.serialize()),
+                          (unsigned long long)hashBytes(R.FinalData));
 }
 
 /// One straight-line program exercising every instruction class: PAL
@@ -1337,14 +1321,47 @@ TEST(GoldenTimingTest, MemoMoreLiveInsThanTheKeyHolds) {
   expectMemoGolden(A.finish(), "many-live-ins", 81, 18);
 }
 
-TEST(DispatchParityTest, EveryOpcodeClassAgrees) {
+/// The all-class program's whole result in each mode.
+const std::pair<const char *, const char *> AllClassRows[] = {
+    {"functional",
+     "exit=18 out='P-72.6' insts=125 nops=2 loads=4 stores=4"
+     " taken=11 cycles=0 pairs=0 imiss=0 dmiss=0 blocks=0/0"
+     " classes=6,5,3,3,1,1,3,12,76,12,3, counts=1,1,"
+     " profile=0xdea908036e9cf644 data=0xb9cc1cf6139d8e09"},
+    {"timing",
+     "exit=5 out='P-72.6' insts=125 nops=2 loads=4 stores=4 taken=11"
+     " cycles=305 pairs=42 imiss=17 dmiss=3 blocks=16/0"
+     " classes=6,5,3,3,1,1,3,12,76,12,3, counts=1,1,"
+     " profile=0xdea908036e9cf644 data=0xb9cc1cf6139d8e09"},
+    {"profiled",
+     "exit=18 out='P-72.6' insts=125 nops=2 loads=4 stores=4"
+     " taken=11 cycles=0 pairs=0 imiss=0 dmiss=0 blocks=0/0"
+     " classes=6,5,3,3,1,1,3,12,76,12,3, counts=1,1,"
+     " profile=0x50002ed1d7211ea7 data=0xb9cc1cf6139d8e09"},
+    {"timing-profiled",
+     "exit=5 out='P-72.6' insts=125 nops=2 loads=4 stores=4 taken=11"
+     " cycles=305 pairs=42 imiss=17 dmiss=3 blocks=16/0"
+     " classes=6,5,3,3,1,1,3,12,76,12,3, counts=1,1,"
+     " profile=0x50002ed1d7211ea7 data=0xb9cc1cf6139d8e09"},
+};
+
+TEST(CoreGoldenTest, EveryOpcodeClassMatchesItsRows) {
+  const obj::Image Img = rawImageWithProc(allClassProgram());
   for (const SimMode &M : AllModes) {
-    std::optional<sim::SimResult> R = expectDispatchParity(
-        rawImageWithProc(allClassProgram()), "all-classes", M);
-    ASSERT_TRUE(R.has_value());
-    // The program genuinely exercised every class, so the parity above
-    // compared a fully populated histogram (and, where collected, a
-    // nonempty timing record and profile).
+    Result<sim::SimResult> R = sim::run(Img, coreConfig(1u << 20, M));
+    ASSERT_TRUE(bool(R)) << M.Name << ": " << R.message();
+    const char *Want = nullptr;
+    for (const auto &[Mode, Row] : AllClassRows)
+      if (std::string(Mode) == M.Name)
+        Want = Row;
+    EXPECT_NE(Want, nullptr) << "no golden row; observed {\"" << M.Name
+                             << "\", \"" << resultRow(*R) << "\"},";
+    if (Want) {
+      EXPECT_EQ(resultRow(*R), Want) << M.Name;
+    }
+    // The program genuinely exercised every class, so the row pins a
+    // fully populated histogram (and, where collected, a nonempty timing
+    // record and profile).
     for (unsigned C = 0; C < NumInstClasses; ++C)
       EXPECT_GT(R->ClassCounts[C], 0u)
           << "class " << instClassName(static_cast<InstClass>(C))
@@ -1358,30 +1375,49 @@ TEST(DispatchParityTest, EveryOpcodeClassAgrees) {
   }
 }
 
-TEST(DispatchParityTest, EveryFaultPathAgrees) {
+TEST(CoreGoldenTest, EveryFaultPathMatchesItsMessage) {
   struct FaultCase {
     const char *Name;
     std::vector<Inst> Code;
+    const char *Message;
     uint64_t MaxInsts;
   };
   std::vector<FaultCase> Cases;
   auto add = [&Cases](const char *Name, std::vector<Inst> Code,
-                      uint64_t MaxInsts = 1u << 20) {
-    Cases.push_back({Name, std::move(Code), MaxInsts});
+                      const char *Message, uint64_t MaxInsts = 1u << 20) {
+    Cases.push_back({Name, std::move(Code), Message, MaxInsts});
   };
 
   // Misalignment, one per access width and direction (fp included).
-  add("unaligned-ldq", {makeMem(Opcode::Ldq, V0, 1, SP)});
-  add("unaligned-ldl", {makeMem(Opcode::Ldl, V0, 2, SP)});
-  add("unaligned-stq", {makeMem(Opcode::Stq, V0, 1, SP)});
-  add("unaligned-stl", {makeMem(Opcode::Stl, V0, 2, SP)});
-  add("unaligned-ldt", {makeMem(Opcode::Ldt, 1, 4, SP)});
-  add("unaligned-stt", {makeMem(Opcode::Stt, 1, 4, SP)});
+  add("unaligned-ldq", {makeMem(Opcode::Ldq, V0, 1, SP)},
+      "bad 8-byte load at 0x000000015ffffe01 (pc=0x0000000120000000, "
+      "inst='ldq v0, 1(sp)')");
+  add("unaligned-ldl", {makeMem(Opcode::Ldl, V0, 2, SP)},
+      "bad 4-byte load at 0x000000015ffffe02 (pc=0x0000000120000000, "
+      "inst='ldl v0, 2(sp)')");
+  add("unaligned-stq", {makeMem(Opcode::Stq, V0, 1, SP)},
+      "bad 8-byte store at 0x000000015ffffe01 (pc=0x0000000120000000, "
+      "inst='stq v0, 1(sp)')");
+  add("unaligned-stl", {makeMem(Opcode::Stl, V0, 2, SP)},
+      "bad 4-byte store at 0x000000015ffffe02 (pc=0x0000000120000000, "
+      "inst='stl v0, 2(sp)')");
+  add("unaligned-ldt", {makeMem(Opcode::Ldt, 1, 4, SP)},
+      "bad 8-byte load at 0x000000015ffffe04 (pc=0x0000000120000000, "
+      "inst='ldt f1, 4(sp)')");
+  add("unaligned-stt", {makeMem(Opcode::Stt, 1, 4, SP)},
+      "bad 8-byte store at 0x000000015ffffe04 (pc=0x0000000120000000, "
+      "inst='stt f1, 4(sp)')");
 
   // Bounds, including the 2^64 wraparound corner.
-  add("oob-load-wrap", {makeMem(Opcode::Ldq, V0, -8, Zero)});
-  add("oob-store-wrap", {makeMem(Opcode::Stq, V0, -8, Zero)});
-  add("oob-load-low", {makeMem(Opcode::Ldq, V0, 0, Zero)});
+  add("oob-load-wrap", {makeMem(Opcode::Ldq, V0, -8, Zero)},
+      "bad 8-byte load at 0xfffffffffffffff8 (pc=0x0000000120000000, "
+      "inst='ldq v0, -8(zero)')");
+  add("oob-store-wrap", {makeMem(Opcode::Stq, V0, -8, Zero)},
+      "bad 8-byte store at 0xfffffffffffffff8 (pc=0x0000000120000000, "
+      "inst='stq v0, -8(zero)')");
+  add("oob-load-low", {makeMem(Opcode::Ldq, V0, 0, Zero)},
+      "bad 8-byte load at 0x0000000000000000 (pc=0x0000000120000000, "
+      "inst='ldq v0, 0(zero)')");
   {
     // Store into the text segment (read-only by construction).
     std::vector<Inst> Code;
@@ -1389,41 +1425,131 @@ TEST(DispatchParityTest, EveryFaultPathAgrees) {
     Code.push_back(makeMem(Opcode::Ldah, T0, 0x1200, T0));
     Code.push_back(makeOpLit(Opcode::Sll, T0, 4, T0));
     Code.push_back(makeMem(Opcode::Stq, Zero, 0, T0));
-    add("store-to-text", std::move(Code));
+    add("store-to-text", std::move(Code),
+        "bad 8-byte store at 0x0000000120000000 (pc=0x000000012000000c, "
+        "inst='stq zero, 0(t0)')");
   }
 
   // Control flow escaping the text segment.
-  add("fall-off-end", {makeMem(Opcode::Lda, V0, 1, Zero)});
-  add("br-before-text", {makeBranch(Opcode::Br, Zero, -5)});
-  add("br-past-end", {makeBranch(Opcode::Br, Zero, 100)});
+  add("fall-off-end", {makeMem(Opcode::Lda, V0, 1, Zero)},
+      "PC out of text: 0x0000000120000004");
+  add("br-before-text", {makeBranch(Opcode::Br, Zero, -5)},
+      "PC out of text: 0x000000011ffffff0");
+  add("br-past-end", {makeBranch(Opcode::Br, Zero, 100)},
+      "PC out of text: 0x0000000120000194");
   {
     std::vector<Inst> Code;
     emitConst(Code, T0, 0x5000);
     Code.push_back(makeJump(Opcode::Jsr, RA, T0));
-    add("jump-out-of-range", std::move(Code));
+    add("jump-out-of-range", std::move(Code),
+        "PC out of text: 0x0000000000005000");
   }
   {
     std::vector<Inst> Code;
     emitConst(Code, T0, 1);
     Code.push_back(makeBranch(Opcode::Bne, T0, -100));
-    add("taken-cond-out-of-range", std::move(Code));
+    add("taken-cond-out-of-range", std::move(Code),
+        "PC out of text: 0x000000011ffffe78");
   }
 
   // Resource limits and PAL misuse.
-  add("budget-exceeded", {makeBranch(Opcode::Br, Zero, -1)}, 100);
-  add("unknown-pal", {makePal(static_cast<PalFunc>(99))});
+  add("budget-exceeded", {makeBranch(Opcode::Br, Zero, -1)},
+      "instruction budget exceeded (runaway program?)", 100);
+  add("unknown-pal", {makePal(static_cast<PalFunc>(99))},
+      "unknown PAL function 99 (pc=0x0000000120000000, inst='call_pal ?')");
 
-  for (FaultCase &C : Cases)
+  for (const FaultCase &C : Cases)
     for (const SimMode &M : AllModes) {
-      std::optional<sim::SimResult> R = expectDispatchParity(
-          rawImageWithProc(C.Code), C.Name, M, C.MaxInsts);
-      EXPECT_FALSE(R.has_value()) << C.Name << " did not fault";
+      Result<sim::SimResult> R =
+          sim::run(rawImageWithProc(C.Code), coreConfig(C.MaxInsts, M));
+      ASSERT_FALSE(bool(R)) << C.Name << "/" << M.Name << " did not fault";
+      EXPECT_EQ(R.message(), C.Message) << C.Name << "/" << M.Name;
     }
 }
 
-TEST(DispatchParityTest, EveryIntOpAgreesOnEdgeOperands) {
-  // Sweep every integer operate over sign/magnitude edge cases in both
-  // register and literal form; the two cores must agree exactly.
+/// Each integer operate on an edge-case first operand: Reg is
+/// `Op A, 3` (register form) and Lit is `Op A, #255` (literal form).
+struct IntOpEdgeRow {
+  const char *Op;
+  int64_t A;
+  int64_t Reg;
+  int64_t Lit;
+};
+const IntOpEdgeRow IntOpEdgeRows[] = {
+    {"addq", 0, 3, 255},
+    {"addq", -1, 2, 254},
+    {"addq", 13, 16, 268},
+    {"addq", INT64_MIN, -9223372036854775805, -9223372036854775553},
+    {"subq", 0, -3, -255},
+    {"subq", -1, -4, -256},
+    {"subq", 13, 10, -242},
+    {"subq", INT64_MIN, 9223372036854775805, 9223372036854775553},
+    {"mulq", 0, 0, 0},
+    {"mulq", -1, -3, -255},
+    {"mulq", 13, 39, 3315},
+    {"mulq", INT64_MIN, INT64_MIN, INT64_MIN},
+    {"s4addq", 0, 3, 255},
+    {"s4addq", -1, -1, 251},
+    {"s4addq", 13, 55, 307},
+    {"s4addq", INT64_MIN, 3, 255},
+    {"s8addq", 0, 3, 255},
+    {"s8addq", -1, -5, 247},
+    {"s8addq", 13, 107, 359},
+    {"s8addq", INT64_MIN, 3, 255},
+    {"cmpeq", 0, 0, 0},
+    {"cmpeq", -1, 0, 0},
+    {"cmpeq", 13, 0, 0},
+    {"cmpeq", INT64_MIN, 0, 0},
+    {"cmplt", 0, 1, 1},
+    {"cmplt", -1, 1, 1},
+    {"cmplt", 13, 0, 1},
+    {"cmplt", INT64_MIN, 1, 1},
+    {"cmple", 0, 1, 1},
+    {"cmple", -1, 1, 1},
+    {"cmple", 13, 0, 1},
+    {"cmple", INT64_MIN, 1, 1},
+    {"cmpult", 0, 1, 1},
+    {"cmpult", -1, 0, 0},
+    {"cmpult", 13, 0, 1},
+    {"cmpult", INT64_MIN, 0, 0},
+    {"and", 0, 0, 0},
+    {"and", -1, 3, 255},
+    {"and", 13, 1, 13},
+    {"and", INT64_MIN, 0, 0},
+    {"bic", 0, 0, 0},
+    {"bic", -1, -4, -256},
+    {"bic", 13, 12, 0},
+    {"bic", INT64_MIN, INT64_MIN, INT64_MIN},
+    {"bis", 0, 3, 255},
+    {"bis", -1, -1, -1},
+    {"bis", 13, 15, 255},
+    {"bis", INT64_MIN, -9223372036854775805, -9223372036854775553},
+    {"ornot", 0, -4, -256},
+    {"ornot", -1, -1, -1},
+    {"ornot", 13, -3, -243},
+    {"ornot", INT64_MIN, -4, -256},
+    {"xor", 0, 3, 255},
+    {"xor", -1, -4, -256},
+    {"xor", 13, 14, 242},
+    {"xor", INT64_MIN, -9223372036854775805, -9223372036854775553},
+    {"sll", 0, 0, 0},
+    {"sll", -1, -8, INT64_MIN},
+    {"sll", 13, 104, INT64_MIN},
+    {"sll", INT64_MIN, 0, 0},
+    {"srl", 0, 0, 0},
+    {"srl", -1, 2305843009213693951, 1},
+    {"srl", 13, 1, 0},
+    {"srl", INT64_MIN, 1152921504606846976, 1},
+    {"sra", 0, 0, 0},
+    {"sra", -1, -1, -1},
+    {"sra", 13, 1, 0},
+    {"sra", INT64_MIN, -1152921504606846976, -1},
+};
+
+TEST(CoreGoldenTest, EveryIntOpMatchesItsEdgeOperandRows) {
+  // Every integer operate over sign/magnitude edge cases in both register
+  // and literal form. The program stores both results to the data segment
+  // and exits with their xor, so a row pins each result and v0.
   const Opcode IntOps[] = {
       Opcode::Addq, Opcode::Subq,  Opcode::Mulq, Opcode::S4addq,
       Opcode::S8addq, Opcode::Cmpeq, Opcode::Cmplt, Opcode::Cmple,
@@ -1431,22 +1557,50 @@ TEST(DispatchParityTest, EveryIntOpAgreesOnEdgeOperands) {
       Opcode::Ornot, Opcode::Xor,  Opcode::Sll,  Opcode::Srl,
       Opcode::Sra};
   const int64_t As[] = {0, -1, 13, static_cast<int64_t>(0x8000000000000000ull)};
+  auto text = [](const IntOpEdgeRow &R) {
+    auto num = [](int64_t V) {
+      return V == INT64_MIN ? std::string("INT64_MIN") : std::to_string(V);
+    };
+    return "{\"" + std::string(R.Op) + "\", " + num(R.A) + ", " +
+           num(R.Reg) + ", " + num(R.Lit) + "},";
+  };
+  std::string Observed;
+  size_t Idx = 0;
   for (Opcode Op : IntOps) {
     for (int64_t A : As) {
+      const std::string What =
+          std::string(opcodeName(Op)) + "/A=" + std::to_string(A);
       std::vector<Inst> Code;
       emitConst(Code, T0, A);
       emitConst(Code, T1, 3);
       Code.push_back(makeOp(Op, T0, T1, T2));
       Code.push_back(makeOpLit(Op, T0, 255, T3));
+      Code.push_back(makeMem(Opcode::Stq, T2, 0, GP));
+      Code.push_back(makeMem(Opcode::Stq, T3, 8, GP));
       Code.push_back(makeOp(Opcode::Xor, T2, T3, V0));
       Code.push_back(makeJump(Opcode::Ret, Zero, RA));
-      for (const SimMode &M : AllModes)
-        expectDispatchParity(rawImageWithProc(Code),
-                             std::string(opcodeName(Op)) + "/A=" +
-                                 std::to_string(A),
-                             M);
+      const obj::Image Img = rawImageWithProc(Code);
+      std::optional<IntOpEdgeRow> Got;
+      for (const SimMode &M : AllModes) {
+        Result<sim::SimResult> R = sim::run(Img, coreConfig(1u << 20, M));
+        ASSERT_TRUE(bool(R)) << What << "/" << M.Name << ": "
+                             << R.message();
+        IntOpEdgeRow Run{opcodeName(Op), A, 0, 0};
+        std::memcpy(&Run.Reg, R->FinalData.data(), 8);
+        std::memcpy(&Run.Lit, R->FinalData.data() + 8, 8);
+        EXPECT_EQ(R->ExitCode, Run.Reg ^ Run.Lit) << What << "/" << M.Name;
+        if (!Got)
+          Got = Run;
+        EXPECT_EQ(text(Run), text(*Got)) << What << "/" << M.Name;
+      }
+      Observed += "    " + text(*Got) + "\n";
+      if (Idx < std::size(IntOpEdgeRows)) {
+        EXPECT_EQ(text(*Got), text(IntOpEdgeRows[Idx])) << What;
+      }
+      ++Idx;
     }
   }
+  EXPECT_EQ(Idx, std::size(IntOpEdgeRows)) << "observed rows:\n" << Observed;
 }
 
 TEST(SuiteRunnerTest, ParallelAndSerialRunsAreIdentical) {
@@ -1459,9 +1613,8 @@ TEST(SuiteRunnerTest, ParallelAndSerialRunsAreIdentical) {
   obj::Image FaultImg = makeRawImage(Faulty);
 
   std::vector<sim::SuiteJob> Jobs;
-  for (sim::DispatchMode Mode :
-       {sim::DispatchMode::Threaded, sim::DispatchMode::Switch}) {
-    sim::SimConfig Cfg = coreConfig(Mode, 1u << 20);
+  for (const SimMode &Mode : {AllModes[0], AllModes[1]}) {
+    sim::SimConfig Cfg = coreConfig(1u << 20, Mode);
     Jobs.push_back({"good", &GoodImg, Cfg});
     Jobs.push_back({"fault", &FaultImg, Cfg});
     Jobs.push_back({"good2", &GoodImg, Cfg});
@@ -1482,6 +1635,7 @@ TEST(SuiteRunnerTest, ParallelAndSerialRunsAreIdentical) {
     EXPECT_EQ(A.Output, B.Output) << Jobs[I].Name;
     EXPECT_EQ(A.Instructions, B.Instructions) << Jobs[I].Name;
     EXPECT_EQ(A.ClassCounts, B.ClassCounts) << Jobs[I].Name;
+    EXPECT_EQ(A.Cycles, B.Cycles) << Jobs[I].Name;
     EXPECT_EQ(A.FinalData, B.FinalData) << Jobs[I].Name;
   }
   // The good jobs faulted nowhere and the faulty ones everywhere.

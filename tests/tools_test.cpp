@@ -268,29 +268,26 @@ TEST_F(ToolchainTest, RunEmitsStatsJson) {
   EXPECT_NE(SS.str().find("\"timing\": null"), std::string::npos);
 }
 
-TEST_F(ToolchainTest, DispatchFlagSelectsACore) {
+TEST_F(ToolchainTest, DispatchFlagIsAUsageError) {
   std::string Out;
   ASSERT_EQ(runCommand(toolsDir() + "/omlink --standard -o " + Dir +
                            "/dsp.aaxe " + allObjects(),
                        Out),
             0)
       << Out;
-  // Both cores run the image to the same exit code and output.
-  EXPECT_EQ(runCommand(toolsDir() + "/aaxrun --dispatch=threaded " + Dir +
-                           "/dsp.aaxe",
-                       Out),
-            6);
-  EXPECT_EQ(Out, "30\n");
-  EXPECT_EQ(runCommand(toolsDir() + "/aaxrun --dispatch=switch " + Dir +
-                           "/dsp.aaxe",
-                       Out),
-            6);
-  EXPECT_EQ(Out, "30\n");
-  // An unknown mode is a usage error, not a silent default.
-  EXPECT_EQ(runCommand(toolsDir() + "/aaxrun --dispatch=bogus " + Dir +
+  // The simulator has one dispatch, so there is nothing to select: the
+  // old flag is an unknown flag, in either spelling.
+  EXPECT_EQ(runCommandErr(toolsDir() + "/aaxrun --dispatch=switch " + Dir +
+                              "/dsp.aaxe",
+                          Out),
+            2);
+  EXPECT_NE(Out.find("usage: aaxrun"), std::string::npos) << Out;
+  EXPECT_EQ(runCommand(toolsDir() + "/aaxrun --dispatch switch " + Dir +
                            "/dsp.aaxe",
                        Out),
             2);
+  EXPECT_EQ(runCommand(toolsDir() + "/aaxrun " + Dir + "/dsp.aaxe", Out), 6);
+  EXPECT_EQ(Out, "30\n");
 }
 
 TEST_F(ToolchainTest, SuiteModeRunsManyImagesInOrder) {
@@ -889,9 +886,7 @@ TEST_F(ToolchainTest, HostileImageLayoutFailsWithDiagnostic) {
   std::ofstream(Dir + "/big.aaxe", std::ios::binary | std::ios::trunc)
       .write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
 
-  for (const char *Flags :
-       {"", "--dispatch=switch ", "--functional ",
-        "--functional --dispatch=switch "}) {
+  for (const char *Flags : {"", "--functional "}) {
     EXPECT_EQ(runCommandErr(toolsDir() + "/aaxrun " + Flags + Dir +
                                 "/big.aaxe",
                             Out),
@@ -994,12 +989,13 @@ TEST_F(ToolchainTest, HostileDataSymbolsFailWithDiagnostic) {
 }
 
 TEST_F(ToolchainTest, HostileBssExtentsFailWithDiagnostic) {
-  // One defined .bss symbol of a generated module, edited two ways. Its
+  // One defined .bss symbol of a generated module, edited three ways. Its
   // size 22,517,998,136,852,536 fits no .bss: once -O none aborted on it,
   // and -O full and --standard linked it. A 1 GiB symbol in a 2 GiB .bss
-  // is in bounds but cannot fit the data segment aaxrun accepts. Every
-  // linker rejects both with a diagnostic and exit 1; aaxlint, which lays
-  // nothing out, rejects the first.
+  // is in bounds but cannot fit the data segment aaxrun accepts. A 2 GiB
+  // .bss whose symbols stay small once linked under OM, which lays out
+  // symbols, while --standard, which lays out sections, rejected it. Every
+  // linker and aaxlint reject all three with a diagnostic and exit 1.
   std::string Out;
   const std::string Gen = Dir + "/gen", Bad = Dir + "/bad";
   ASSERT_EQ(runCommand("mkdir -p " + Gen + " " + Bad, Out), 0);
@@ -1023,16 +1019,18 @@ TEST_F(ToolchainTest, HostileBssExtentsFailWithDiagnostic) {
   struct Edit {
     uint64_t BssSize, Size;
     std::string Diagnostic;
-    bool LintRejects;
   };
-  uint64_t BssSize = 0;
+  uint64_t BssSize = 0, SymSize = 0;
   std::memcpy(&BssSize, Clean.data() + BssSizeAt, 8);
+  std::memcpy(&SymSize, Clean.data() + Target->Size, 8);
   const uint64_t Zero = 0;
+  const std::string TooBig =
+      "data and bss exceed the 535822336-byte data segment limit";
   for (const Edit &E :
        {Edit{BssSize, 22517998136852536ull,
-             Target->Name + " extends past .bss", true},
-        Edit{2ull << 30, 1ull << 30,
-             "exceed the 535822336-byte data segment limit", false}}) {
+             Target->Name + " extends past .bss"},
+        Edit{2ull << 30, 1ull << 30, TooBig},
+        Edit{2ull << 30, SymSize, "mg1: " + TooBig}}) {
     std::vector<char> Bytes = Clean;
     std::memcpy(Bytes.data() + BssSizeAt, &E.BssSize, 8);
     std::memcpy(Bytes.data() + Target->Offset, &Zero, 8);
@@ -1040,10 +1038,9 @@ TEST_F(ToolchainTest, HostileBssExtentsFailWithDiagnostic) {
     writeFile(Bad + "/mg0001.aaxo", Bytes);
     std::vector<std::string> Cmds = {
         "/omlink -O none -o " + Dir + "/h.aaxe ",
+        "/omlink -O simple -o " + Dir + "/h.aaxe ",
         "/omlink -O full --sched -o " + Dir + "/h.aaxe ",
-        "/omlink --standard -o " + Dir + "/h.aaxe "};
-    if (E.LintRejects)
-      Cmds.push_back("/aaxlint ");
+        "/omlink --standard -o " + Dir + "/h.aaxe ", "/aaxlint "};
     for (const std::string &Cmd : Cmds) {
       EXPECT_EQ(runCommandErr(toolsDir() + Cmd + Bad + "/mg0000.aaxo " +
                                   Bad + "/mg0001.aaxo",

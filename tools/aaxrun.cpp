@@ -8,19 +8,18 @@
 /// Executes an .aaxe image. The program's PAL output goes to stdout and
 /// the process exit code is the simulated program's.
 ///
-///   aaxrun [--functional] [--dispatch MODE] [--stats] [--stats-json FILE]
-///          [--max-insts N] [--profile-out FILE] a.aaxe
+///   aaxrun [--functional] [--stats] [--stats-json FILE] [--max-insts N]
+///          [--profile-out FILE] a.aaxe
 ///   aaxrun --suite [--jobs N] [common flags] a.aaxe b.aaxe ...
 ///
-/// --dispatch selects how the interpreter moves between handlers, in every
-/// mode: `threaded` (computed goto, the default) or `switch` (the portable
-/// switch on handler ids); both run the same handlers.
-/// --stats prints the run's observability block (instruction-class
-/// histogram, load/store/branch mix, cache hit rates, simulated MIPS) to
-/// stderr; --stats-json writes the same data as JSON to FILE ("-" for
-/// stdout). --profile-out collects an execution profile (per-procedure
-/// heat, branch taken/fall-through counts, dynamic call edges) and writes
-/// it to FILE in the AAXP format `omlink --profile-in` consumes.
+/// The default run is timed (the dual-issue model); --functional runs the
+/// architectural semantics only. --stats prints the run's observability
+/// block (instruction-class histogram, load/store/branch mix, cache hit
+/// rates, simulated MIPS) to stderr; --stats-json writes the same data as
+/// JSON to FILE ("-" for stdout). --profile-out collects an execution
+/// profile (per-procedure heat, branch taken/fall-through counts, dynamic
+/// call edges) and writes it to FILE in the AAXP format
+/// `omlink --profile-in` consumes.
 ///
 /// --suite accepts several images and runs them concurrently on --jobs
 /// pool threads (0 = hardware concurrency), printing each program's output
@@ -49,10 +48,8 @@ using namespace om64;
 static int usage() {
   std::fprintf(
       stderr,
-      "usage: aaxrun [--functional] [--dispatch threaded|switch] [--stats]\n"
-      "              [--stats-json FILE] [--max-insts N] [--profile-out "
-      "FILE]\n"
-      "              a.aaxe\n"
+      "usage: aaxrun [--functional] [--stats] [--stats-json FILE]\n"
+      "              [--max-insts N] [--profile-out FILE] a.aaxe\n"
       "       aaxrun --suite [--jobs N] [common flags] a.aaxe b.aaxe ...\n");
   return 2;
 }
@@ -84,17 +81,6 @@ int main(int argc, char **argv) {
     const std::string &Arg = Argv[I];
     if (Arg == "--functional") {
       Cfg.Timing = false;
-    } else if (Arg == "--dispatch" && I + 1 < NArgs) {
-      const std::string &Mode = Argv[++I];
-      if (Mode == "threaded") {
-        Cfg.Dispatch = sim::DispatchMode::Threaded;
-      } else if (Mode == "switch") {
-        Cfg.Dispatch = sim::DispatchMode::Switch;
-      } else {
-        std::fprintf(stderr, "aaxrun: --dispatch: unknown mode '%s'\n",
-                     Mode.c_str());
-        return 2;
-      }
     } else if (Arg == "--stats") {
       Stats = true;
     } else if (Arg == "--suite") {
